@@ -58,7 +58,7 @@ from .metrics import (
     confusion_matrix,
     evaluate_predictions,
 )
-from .model import ModelConfig, TdaEncoder, encoder_forward
+from .model import ModelConfig, TdaEncoder
 from .movavg import HULL_MODES, FilteredSeries, MaConfig, ema, hema, hma, wma
 from .train import Adam, TrainConfig, TrainResult, evaluate, train
 
@@ -77,7 +77,7 @@ __all__ = [
     "Tensor", "NumericsError", "grad_check", "op_catalog",
     # attention / model
     "attention_weights", "attention_standard", "attention_tda",
-    "ModelConfig", "TdaEncoder", "encoder_forward",
+    "ModelConfig", "TdaEncoder",
     # training / metrics
     "TrainConfig", "TrainResult", "Adam", "train", "evaluate",
     "ConfusionMatrix", "EvalReport", "confusion_matrix", "evaluate_predictions",

@@ -6,14 +6,22 @@ a gradient checker against central finite differences.  Every op validates
 its output for NaN/Inf and aborts with :class:`NumericsError` so a diverging
 training step fails loudly instead of poisoning the parameters.
 
+The ops take a single sample as a 2-D ``(T, d)`` tensor or a minibatch as a
+3-D ``(B, T, d)`` tensor, so one graph (and one ``backward``) covers a whole
+batch.  Row-wise ops work along the last axis; weights shared by every
+sample stay 2-D and their adjoints sum over the batch.
+
 Graph mechanics follow the usual closure pattern: each op records its parent
 tensors and an adjoint closure; ``backward`` replays the closures in exact
-reverse creation order, accumulating gradients by addition.
+reverse creation order, accumulating gradients by addition.  A closure
+reaches its own node only through a weak reference, so graphs hold no
+reference cycles and are freed as soon as their root is dropped.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 
 import numpy as np
 from scipy.special import erf
@@ -54,7 +62,9 @@ class NumericsError(ArithmeticError):
 class Tensor:
     """Dense float64 array node in the autodiff graph."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents", "_seq", "_op")
+    __slots__ = (
+        "data", "requires_grad", "grad", "_backward", "_parents", "_seq", "_op", "__weakref__",
+    )
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _op: str = "leaf"):
         arr = np.asarray(data, dtype=np.float64)
@@ -83,7 +93,11 @@ class Tensor:
         self.grad += g
 
     def backward(self) -> None:
-        """Backpropagate from a scalar output through the recorded graph."""
+        """Backpropagate from a scalar output through the recorded graph.
+
+        Leaves accumulate their gradients; every other node's ``grad`` is
+        released as soon as its adjoint has run.
+        """
         if self.data.size != 1:
             raise ValueError(f"backward needs a scalar output, got shape {self.shape}")
         nodes = []
@@ -101,6 +115,8 @@ class Tensor:
         for node in nodes:
             if node._backward is not None:
                 node._backward()
+                if node is not self:
+                    node.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
@@ -115,7 +131,8 @@ def _make(data, parents, op: str, backward=None) -> Tensor:
     tracked = tuple(p for p in parents if p.requires_grad)
     out = Tensor(data, requires_grad=bool(tracked), _parents=tracked, _op=op)
     if tracked and backward is not None:
-        out._backward = lambda: backward(out)
+        ref = weakref.ref(out)
+        out._backward = lambda: backward(ref())
     return out
 
 
@@ -124,28 +141,48 @@ def _need_2d(t: Tensor, op: str) -> None:
         raise ValueError(f"{op} expects a 2-D tensor, got shape {t.shape}")
 
 
+def _need_rows(t: Tensor, op: str) -> None:
+    if t.data.ndim not in (2, 3):
+        raise ValueError(f"{op} expects a 2-D or 3-D tensor, got shape {t.shape}")
+
+
+def _swap(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _need_2d(a, "matmul")
-    _need_2d(b, "matmul")
-    if a.shape[1] != b.shape[0]:
+    """Matrix product; a 3-D ``a`` multiplies each sample by ``b``.
+
+    ``b`` is either one 2-D matrix shared by every sample or a 3-D stack
+    holding one matrix per sample.
+    """
+    _need_rows(a, "matmul")
+    _need_rows(b, "matmul")
+    shared = b.data.ndim < a.data.ndim
+    if a.shape[-1] != b.shape[-2] or (not shared and a.shape[:-2] != b.shape[:-2]):
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
 
     def backward(out):
+        g = out.grad
         if a.requires_grad:
-            a.accumulate(out.grad @ b.data.T)
+            a.accumulate(g @ _swap(b.data))
         if b.requires_grad:
-            b.accumulate(a.data.T @ out.grad)
+            if shared:
+                b.accumulate(a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+            else:
+                b.accumulate(_swap(a.data) @ g)
 
     return _make(a.data @ b.data, (a, b), "matmul", backward)
 
 
 def transpose(a: Tensor) -> Tensor:
-    _need_2d(a, "transpose")
+    """Swap the last two axes (each sample's matrix transpose)."""
+    _need_rows(a, "transpose")
 
     def backward(out):
-        a.accumulate(out.grad.T)
+        a.accumulate(_swap(out.grad))
 
-    return _make(a.data.T, (a,), "transpose", backward)
+    return _make(_swap(a.data), (a,), "transpose", backward)
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -198,63 +235,84 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make(a.data * c, (a,), "scale", backward)
 
 
+def _batch_sum(x: np.ndarray, n: int) -> np.ndarray:
+    """Sum a (..., n) array over every leading axis."""
+    return x.reshape(-1, n).sum(axis=0)
+
+
 def mul_rowvec(a: Tensor, v: Tensor) -> Tensor:
     """Multiply every row of ``a`` elementwise by the vector ``v``.
 
-    Broadcast over rows: column ``j`` of the result is ``a[:, j] * v[j]``.
+    Broadcast over rows (and samples): column ``j`` of the result is
+    ``a[..., j] * v[j]``.  ``v`` is either a vector of exactly ``n`` factors
+    (``n = a.shape[-1]``) or a positional row of shape ``(1, m)`` with
+    ``m >= n``, of which the first ``n`` entries apply; the rest get zero
+    gradient.  The second form scales attention scores by per-key factors
+    stored for every position up to a model's maximum length.
     """
-    _need_2d(a, "mul_rowvec")
-    if v.data.ndim != 1 or v.shape[0] != a.shape[1]:
+    _need_rows(a, "mul_rowvec")
+    n = a.shape[-1]
+    whole = v.data.ndim == 1 and v.shape[0] == n
+    prefix = v.data.ndim == 2 and v.shape[0] == 1 and v.shape[1] >= n
+    if not (whole or prefix):
         raise ValueError(f"mul_rowvec shape mismatch: {a.shape} vs vector {v.shape}")
+    factors = v.data.reshape(-1)[:n]
 
     def backward(out):
         if a.requires_grad:
-            a.accumulate(out.grad * v.data[None, :])
+            a.accumulate(out.grad * factors)
         if v.requires_grad:
-            v.accumulate((out.grad * a.data).sum(axis=0))
+            gv = _batch_sum(out.grad * a.data, n)
+            if prefix:
+                full = np.zeros_like(v.data)
+                full[0, :n] = gv
+                gv = full
+            v.accumulate(gv)
 
-    return _make(a.data * v.data[None, :], (a, v), "mul_rowvec", backward)
+    return _make(a.data * factors, (a, v), "mul_rowvec", backward)
 
 
 def mul_colvec(a: Tensor, u: Tensor) -> Tensor:
-    """Multiply row ``i`` of ``a`` by ``u[i]`` (broadcast over columns)."""
-    _need_2d(a, "mul_colvec")
-    if u.data.ndim != 1 or u.shape[0] != a.shape[0]:
+    """Multiply row ``i`` of ``a`` (of every sample) by ``u[i]``."""
+    _need_rows(a, "mul_colvec")
+    m = a.shape[-2]
+    if u.data.ndim != 1 or u.shape[0] != m:
         raise ValueError(f"mul_colvec shape mismatch: {a.shape} vs vector {u.shape}")
 
     def backward(out):
         if a.requires_grad:
             a.accumulate(out.grad * u.data[:, None])
         if u.requires_grad:
-            u.accumulate((out.grad * a.data).sum(axis=1))
+            u.accumulate(_batch_sum((out.grad * a.data).sum(axis=-1), m))
 
     return _make(a.data * u.data[:, None], (a, u), "mul_colvec", backward)
 
 
 def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
     """Add the vector ``v`` to every row of ``a`` (bias add)."""
-    _need_2d(a, "add_rowvec")
-    if v.data.ndim != 1 or v.shape[0] != a.shape[1]:
+    _need_rows(a, "add_rowvec")
+    n = a.shape[-1]
+    if v.data.ndim != 1 or v.shape[0] != n:
         raise ValueError(f"add_rowvec shape mismatch: {a.shape} vs vector {v.shape}")
 
     def backward(out):
         if a.requires_grad:
             a.accumulate(out.grad)
         if v.requires_grad:
-            v.accumulate(out.grad.sum(axis=0))
+            v.accumulate(_batch_sum(out.grad, n))
 
-    return _make(a.data + v.data[None, :], (a, v), "add_rowvec", backward)
+    return _make(a.data + v.data, (a, v), "add_rowvec", backward)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
-    _need_2d(a, "softmax_rows")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
+    _need_rows(a, "softmax_rows")
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
+    p = e / e.sum(axis=-1, keepdims=True)
 
     def backward(out):
         # dL/dx = P * (g - sum_j g_j P_j) row-wise
-        dot = (out.grad * p).sum(axis=1, keepdims=True)
+        dot = (out.grad * p).sum(axis=-1, keepdims=True)
         a.accumulate(p * (out.grad - dot))
 
     return _make(p, (a,), "softmax_rows", backward)
@@ -273,29 +331,33 @@ def exp(a: Tensor) -> Tensor:
 
 
 def mean_rows(a: Tensor) -> Tensor:
-    """Mean-pool over rows: (m, n) -> (1, n)."""
-    _need_2d(a, "mean_rows")
-    m = a.shape[0]
+    """Mean-pool each sample's rows into one row.
+
+    ``(m, n) -> (1, n)`` for a single sample, ``(B, m, n) -> (B, n)`` for a
+    batch: row ``b`` of the result is sample ``b``'s mean row.
+    """
+    _need_rows(a, "mean_rows")
+    m, n = a.shape[-2:]
 
     def backward(out):
-        a.accumulate(np.repeat(out.grad, m, axis=0) / m)
+        per_sample = out.grad.reshape(a.shape[:-2] + (1, n))
+        a.accumulate(np.broadcast_to(per_sample / m, a.shape))
 
-    return _make(a.data.mean(axis=0, keepdims=True), (a,), "mean_rows", backward)
+    return _make(a.data.mean(axis=-2).reshape(-1, n), (a,), "mean_rows", backward)
 
 
 def layer_norm(a: Tensor, eps: float = _LN_EPS) -> Tensor:
     """Normalise each row to zero mean and unit variance (no affine part)."""
-    _need_2d(a, "layer_norm")
-    mu = a.data.mean(axis=1, keepdims=True)
-    var = a.data.var(axis=1, keepdims=True)
+    _need_rows(a, "layer_norm")
+    mu = a.data.mean(axis=-1, keepdims=True)
+    var = a.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     y = (a.data - mu) * inv
 
     def backward(out):
         g = out.grad
-        n = a.shape[1]
-        gy = (g * y).mean(axis=1, keepdims=True)
-        gm = g.mean(axis=1, keepdims=True)
+        gy = (g * y).mean(axis=-1, keepdims=True)
+        gm = g.mean(axis=-1, keepdims=True)
         a.accumulate(inv * (g - gm - y * gy))
 
     return _make(y, (a,), "layer_norm", backward)
@@ -313,27 +375,35 @@ def gelu(a: Tensor) -> Tensor:
     return _make(y, (a,), "gelu", backward)
 
 
-def cross_entropy_logits(logits: Tensor, target: int) -> Tensor:
-    """Cross-entropy of a single (1, C) logit row against a class index.
+def cross_entropy_logits(logits: Tensor, target) -> Tensor:
+    """Summed cross-entropy of ``(B, C)`` logit rows against class indices.
 
-    Fused with log-sum-exp for stability; the adjoint is softmax minus the
-    one-hot target.
+    ``target`` is a length-B integer array, one class per row, or a plain
+    ``int`` for a single ``(1, C)`` row.  The result is the ``(1, 1)`` sum of
+    the per-row losses.  Fused with log-sum-exp for stability; the adjoint
+    is softmax minus the one-hot target, row by row.
     """
     _need_2d(logits, "cross_entropy_logits")
-    if logits.shape[0] != 1:
+    n_rows, n_classes = logits.shape
+    if np.ndim(target) == 0 and n_rows != 1:
         raise ValueError(f"cross_entropy_logits expects one logit row, got {logits.shape}")
-    n_classes = logits.shape[1]
-    if not 0 <= target < n_classes:
+    targets = np.asarray(target).reshape(-1)
+    if targets.shape != (n_rows,) or not np.issubdtype(targets.dtype, np.integer):
+        raise ValueError(
+            f"cross_entropy_logits needs {n_rows} integer targets, got {np.shape(target)}"
+        )
+    if np.any((targets < 0) | (targets >= n_classes)):
         raise ValueError(f"target {target} out of range for {n_classes} classes")
-    z = logits.data[0]
-    zmax = z.max()
-    lse = zmax + np.log(np.exp(z - zmax).sum())
-    loss = lse - z[target]
+    z = logits.data
+    rows = np.arange(n_rows)
+    zmax = z.max(axis=1, keepdims=True)
+    lse = zmax + np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
+    loss = (lse[:, 0] - z[rows, targets]).sum()
 
     def backward(out):
         p = np.exp(z - lse)
-        p[target] -= 1.0
-        logits.accumulate(out.grad.reshape(()) * p[None, :])
+        p[rows, targets] -= 1.0
+        logits.accumulate(out.grad.reshape(()) * p)
 
     return _make(np.array([[loss]]), (logits,), "cross_entropy_logits", backward)
 

@@ -32,6 +32,7 @@ from .data import (
     FAULT_CLASSES,
     SplitConfig,
     SynthConfig,
+    _dump_json,
     build_dataset,
     gen_synthetic,
     load_recording_csv,
@@ -64,10 +65,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _dump_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _stamp(args) -> str | None:

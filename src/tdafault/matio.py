@@ -150,7 +150,8 @@ def _parse_matrix(payload: bytes, base: int) -> MatArray | None:
     dim_type, dim_bytes = _read_tag(r, "dimensions")
     if dim_type != MI_INT32:
         raise MatFormatError(f"dimensions subelement has type {dim_type}", dim_offset)
-    dims = tuple(int(d) for d in np.frombuffer(dim_bytes, dtype="<i4"))
+    dim_values = _numeric_payload(dim_type, dim_bytes, dim_offset, "dimensions")
+    dims = tuple(int(d) for d in dim_values)
     if len(dims) < 2 or any(d < 0 for d in dims):
         raise MatFormatError(f"invalid dimensions {dims}", dim_offset)
 

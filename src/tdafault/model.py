@@ -23,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .features import CHANNEL_MAP
 
-__all__ = ["ModelConfig", "TdaLayerParams", "TdaEncoder", "encoder_forward"]
+__all__ = ["ModelConfig", "TdaLayerParams", "TdaEncoder"]
 
 ATTENTION_MODES = ("tda", "standard")
 CHECKPOINT_VERSION = 1
@@ -46,12 +46,12 @@ class ModelConfig:
     ffn_mult: int = 2
 
     def __post_init__(self) -> None:
+        if self.heads < 1 or self.layers < 1:
+            raise ValueError("heads and layers must be >= 1")
         for name in ("d_model", "d_k", "d_v"):
             val = getattr(self, name)
             if val % self.heads != 0:
                 raise ValueError(f"{name}={val} not divisible by heads={self.heads}")
-        if self.heads < 1 or self.layers < 1:
-            raise ValueError("heads and layers must be >= 1")
         if self.n_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.n_classes}")
         if self.t_max < 1:
@@ -184,37 +184,50 @@ class TdaEncoder:
     # ---- forward ----------------------------------------------------------
 
     def _check_tokens(self, tokens: np.ndarray) -> np.ndarray:
+        """Validate one (T, F) sequence or a (B, T, F) batch; returns the batch."""
         tokens = np.asarray(tokens, dtype=np.float64)
-        if tokens.ndim != 2 or tokens.shape[1] != self.n_features:
+        batch = tokens[None] if tokens.ndim == 2 else tokens
+        if batch.ndim != 3 or batch.shape[0] < 1 or batch.shape[2] != self.n_features:
             raise ValueError(
-                f"tokens must be (T, {self.n_features}), got shape {tokens.shape}"
+                f"tokens must be (T, {self.n_features}) or (B, T, {self.n_features}), "
+                f"got shape {tokens.shape}"
             )
-        if not 1 <= tokens.shape[0] <= self.cfg.t_max:
+        if not 1 <= batch.shape[1] <= self.cfg.t_max:
             raise ValueError(
-                f"sequence length {tokens.shape[0]} outside [1, t_max={self.cfg.t_max}]"
+                f"sequence length {batch.shape[1]} outside [1, t_max={self.cfg.t_max}]"
             )
-        return tokens
+        return batch
 
     def _embed_channel(self, tokens: np.ndarray, name: str, key: str) -> Tensor:
         lo, hi = self.channel_map[key]
         w, b = self.embed[name]
-        return ad.add_rowvec(ad.matmul(Tensor(tokens[:, lo:hi]), w), b)
+        return ad.add_rowvec(ad.matmul(Tensor(tokens[..., lo:hi]), w), b)
 
-    def _dropout(self, t: Tensor, training: bool) -> Tensor:
+    def dropout_masks(self, lengths) -> list[list[np.ndarray]]:
+        """Scaled keep-masks for a training batch, one list per sequence.
+
+        Each sequence of length ``T`` gets a ``(T, d_model)`` mask per layer
+        for the attention output, then one for the FFN output.  They are
+        drawn sequence by sequence in batch order, so a batch consumes the
+        dropout stream exactly as running its sequences one at a time does.
+        The lists are empty when the dropout rate is 0.
+        """
         rate = self.cfg.dropout_rate
-        if not training or rate == 0.0:
-            return t
-        keep = self._dropout_rng.random(t.shape) >= rate
-        return ad.multiply(t, Tensor(keep / (1.0 - rate)))
+        sites = 2 * self.cfg.layers if rate > 0.0 else 0
+        return [
+            [
+                (self._dropout_rng.random((t_len, self.cfg.d_model)) >= rate) / (1.0 - rate)
+                for _ in range(sites)
+            ]
+            for t_len in lengths
+        ]
 
-    def _bias_matrix(self, a_raw: Tensor, prefix: Tensor, ones_col: Tensor) -> Tensor:
-        # exp of the raw row, first T entries, copied down T rows: the
-        # per-key bias as a full score-shaped matrix.
-        alpha_row = ad.matmul(ad.exp(a_raw), prefix)
-        return ad.matmul(ones_col, alpha_row)
+    @staticmethod
+    def _dropout(t: Tensor, drop: list, site: int) -> Tensor:
+        return ad.multiply(t, Tensor(drop[site])) if drop else t
 
     def _attend(self, layer: TdaLayerParams, h: int, x: Tensor, x_tr: Tensor,
-                x_se: Tensor, prefix: Tensor, ones_col: Tensor) -> Tensor:
+                x_se: Tensor) -> Tensor:
         q = ad.matmul(x, layer.w_q[h])
         k = ad.matmul(x, layer.w_k[h])
         v_trend = ad.matmul(x_tr, layer.w_vt[h])
@@ -226,47 +239,53 @@ class TdaEncoder:
             return ad.matmul(weights, ad.add(v_trend, v_season))
         out = None
         for a_raw, values in ((layer.a_trend[h], v_trend), (layer.a_season[h], v_season)):
-            bias = self._bias_matrix(a_raw, prefix, ones_col)
-            weights = ad.softmax_rows(ad.scale(ad.multiply(scores, bias), inv_sqrt))
+            # exp(a)[:T] scales score column j, the key at position j
+            biased = ad.mul_rowvec(scores, ad.exp(a_raw))
+            weights = ad.softmax_rows(ad.scale(biased, inv_sqrt))
             branch = ad.matmul(weights, values)
             out = branch if out is None else ad.add(out, branch)
         return out
 
-    def forward(self, tokens: np.ndarray, training: bool = False) -> Tensor:
-        """Run the encoder; returns the (1, n_classes) logit row as a Tensor."""
-        tokens = self._check_tokens(tokens)
-        t_len = tokens.shape[0]
+    def forward(self, tokens: np.ndarray, training: bool = False, masks=None) -> Tensor:
+        """Run the encoder; returns the (B, n_classes) logits as a Tensor.
 
-        x = ad.add(
-            self._embed_channel(tokens, "residual", "residual_feats"),
-            Tensor(self.pe[:t_len]),
-        )
+        ``tokens`` is a (B, T, F) batch of equal-length sequences, or one
+        (T, F) sequence, which is the batch B = 1.  In training mode dropout
+        uses ``masks`` from :meth:`dropout_masks` when given (a batch cut out
+        of a larger one) and otherwise draws this batch's own.
+        """
+        tokens = self._check_tokens(tokens)
+        n_batch, t_len = tokens.shape[:2]
+        drop = []
+        if training:
+            if masks is None:
+                masks = self.dropout_masks([t_len] * n_batch)
+            drop = [np.stack(site) for site in zip(*masks)]
+
+        x = self._embed_channel(tokens, "residual", "residual_feats")
+        x = ad.add(x, Tensor(np.broadcast_to(self.pe[:t_len], x.shape)))
         x_tr = self._embed_channel(tokens, "trend", "trend_feats")
         x_se = self._embed_channel(tokens, "seasonal", "seasonal_feats")
 
-        prefix = Tensor(np.eye(self.cfg.t_max, t_len))
-        ones_col = Tensor(np.ones((t_len, 1)))
-
-        for layer in self.layers:
+        for i, layer in enumerate(self.layers):
             attn = None
             for h in range(layer.heads):
-                proj = ad.matmul(
-                    self._attend(layer, h, x, x_tr, x_se, prefix, ones_col),
-                    layer.w_o[h],
-                )
+                proj = ad.matmul(self._attend(layer, h, x, x_tr, x_se), layer.w_o[h])
                 attn = proj if attn is None else ad.add(attn, proj)
-            x = ad.layer_norm(ad.add(x, self._dropout(attn, training)))
+            x = ad.layer_norm(ad.add(x, self._dropout(attn, drop, 2 * i)))
             hidden = ad.gelu(ad.add_rowvec(ad.matmul(x, layer.ffn_w1), layer.ffn_b1))
             ff = ad.add_rowvec(ad.matmul(hidden, layer.ffn_w2), layer.ffn_b2)
-            x = ad.layer_norm(ad.add(x, self._dropout(ff, training)))
+            x = ad.layer_norm(ad.add(x, self._dropout(ff, drop, 2 * i + 1)))
 
         pooled = ad.mean_rows(x)
         return ad.add_rowvec(ad.matmul(pooled, self.head_w), self.head_b)
 
-    def loss(self, tokens: np.ndarray, target: int, training: bool = False) -> Tensor:
+    def loss(self, tokens: np.ndarray, target, training: bool = False) -> Tensor:
+        """Summed cross-entropy: an int target for one sequence, an array for a batch."""
         return ad.cross_entropy_logits(self.forward(tokens, training=training), target)
 
     def logits(self, tokens: np.ndarray) -> np.ndarray:
+        """Class logits for one (T, F) sequence, as a plain (n_classes,) array."""
         return self.forward(tokens).data[0].copy()
 
     def predict(self, tokens: np.ndarray) -> int:
@@ -302,7 +321,3 @@ class TdaEncoder:
             tensor.data = arr
         return model
 
-
-def encoder_forward(model: TdaEncoder, tokens: np.ndarray) -> np.ndarray:
-    """Class logits for one token sequence, as a plain (n_classes,) array."""
-    return model.logits(tokens)

@@ -1,11 +1,13 @@
 """Deterministic training loop for the encoder classifier.
 
-Optimization is Adam with bias correction.  Batches accumulate per-sample
-gradients scaled by 1/batch, epochs shuffle with a generator seeded from the
-run seed, and early stopping tracks validation loss with a patience window;
-the parameters that scored the best validation loss are restored at the end.
-Given the same seed, data, and configs, two runs produce bit-identical
-histories and parameters.
+Optimization is Adam with bias correction.  Each minibatch is one graph
+with one backward pass: the sum of its per-sample losses scaled by 1/batch.
+A batch whose sequences differ in length runs as equal-length groups inside
+that graph.  Epochs shuffle with a generator seeded from the run seed, and
+early stopping tracks validation loss (scored by :func:`evaluate`) with a
+patience window; the parameters that scored the best validation loss are
+restored at the end.  Given the same seed, data, and configs, two runs
+produce bit-identical histories and parameters.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from .model import TdaEncoder
 __all__ = ["TrainConfig", "TrainResult", "Adam", "train", "evaluate"]
 
 Example = tuple[np.ndarray, int]  # (tokens (T, F), class index)
+
+EVAL_CHUNK = 32  # sequences per forward pass in evaluate
 
 
 @dataclass(frozen=True)
@@ -92,15 +96,34 @@ class TrainResult:
         }
 
 
-def _mean_loss_and_accuracy(model: TdaEncoder, data) -> tuple[float, float]:
-    total = 0.0
-    correct = 0
-    for tokens, label in data:
-        logits = model.forward(tokens)
-        total += ad.cross_entropy_logits(logits, label).item()
-        if int(np.argmax(logits.data[0])) == label:
-            correct += 1
-    return total / len(data), correct / len(data)
+def _length_groups(examples) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+    """Split examples into equal-length groups, in order of first appearance.
+
+    Each group is (positions in ``examples``, stacked (B, T, F) tokens,
+    labels).
+    """
+    groups: dict[int, list[int]] = {}
+    for i, (tokens, _) in enumerate(examples):
+        groups.setdefault(len(tokens), []).append(i)
+    return [
+        (idx, np.stack([examples[i][0] for i in idx]), np.array([examples[i][1] for i in idx]))
+        for idx in groups.values()
+    ]
+
+
+def _backward_batch(model: TdaEncoder, batch) -> float:
+    """Back-propagate one minibatch as a single graph; returns its summed loss.
+
+    The graph is freed on return, before the next batch builds its own.
+    """
+    masks = model.dropout_masks([len(tokens) for tokens, _ in batch])
+    loss = None
+    for idx, tokens, labels in _length_groups(batch):
+        logits = model.forward(tokens, training=True, masks=[masks[i] for i in idx])
+        group_loss = ad.cross_entropy_logits(logits, labels)
+        loss = group_loss if loss is None else ad.add(loss, group_loss)
+    ad.scale(loss, 1.0 / len(batch)).backward()
+    return loss.item()
 
 
 def train(model: TdaEncoder, train_data, val_data, cfg: TrainConfig) -> TrainResult:
@@ -119,23 +142,19 @@ def train(model: TdaEncoder, train_data, val_data, cfg: TrainConfig) -> TrainRes
         order = shuffle_rng.permutation(len(train_data))
         running = 0.0
         for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
             ad.zero_grad(params.values())
-            inv_b = 1.0 / len(batch)
-            for j in batch:
-                tokens, label = train_data[j]
-                loss = model.loss(tokens, label, training=True)
-                ad.scale(loss, inv_b).backward()
-                running += loss.item()
+            running += _backward_batch(
+                model, [train_data[j] for j in order[start:start + cfg.batch_size]]
+            )
             opt.step()
 
-        val_loss, val_acc = _mean_loss_and_accuracy(model, val_data)
+        report, val_loss = evaluate(model, val_data, range(model.cfg.n_classes))
         result.history.append(
             {
                 "epoch": epoch,
                 "train_loss": running / len(train_data),
                 "val_loss": val_loss,
-                "val_accuracy": val_acc,
+                "val_accuracy": report.overall_accuracy,
             }
         )
         result.epochs_run = epoch + 1
@@ -157,15 +176,21 @@ def train(model: TdaEncoder, train_data, val_data, cfg: TrainConfig) -> TrainRes
 
 
 def evaluate(model: TdaEncoder, data, labels) -> tuple[EvalReport, float]:
-    """Score a dataset; returns the metric report and the mean loss."""
+    """Score a dataset; returns the metric report and the mean loss.
+
+    Sequences run through the batched forward in chunks of
+    ``EVAL_CHUNK``, each split into equal-length groups.
+    """
     if len(data) == 0:
         raise ValueError("cannot evaluate an empty dataset")
-    y_true = []
-    y_pred = []
+    y_pred = np.empty(len(data), dtype=np.int64)
     total = 0.0
-    for tokens, label in data:
-        logits = model.forward(tokens)
-        total += ad.cross_entropy_logits(logits, label).item()
-        y_true.append(label)
-        y_pred.append(int(np.argmax(logits.data[0])))
+    for start in range(0, len(data), EVAL_CHUNK):
+        chunk = data[start:start + EVAL_CHUNK]
+        for idx, tokens, targets in _length_groups(chunk):
+            logits = model.forward(tokens)
+            total += ad.cross_entropy_logits(logits, targets).item()
+            y_pred[start + np.asarray(idx)] = np.argmax(logits.data, axis=1)
+            del logits  # free this graph before the next one is built
+    y_true = [label for _, label in data]
     return evaluate_predictions(y_true, y_pred, labels), total / len(data)

@@ -92,6 +92,15 @@ class TestGraphMechanics:
         ad.cross_entropy_logits(x, 0).backward()
         np.testing.assert_allclose(x.grad, 2.0 * g1, atol=1e-12)
 
+    def test_backward_releases_interior_grads(self):
+        x = Tensor([[1.0, 2.0]], requires_grad=True)
+        hidden = ad.exp(x)
+        loss = ad.cross_entropy_logits(hidden, 0)
+        loss.backward()
+        assert hidden.grad is None
+        assert x.grad is not None
+        np.testing.assert_array_equal(loss.grad, [[1.0]])
+
     def test_deterministic_forward_backward(self):
         def run():
             a = rand_tensor((4, 3), 7)
@@ -108,9 +117,10 @@ class TestGraphMechanics:
 
 
 def scalarize(t):
-    """Reduce any 2-D tensor to a scalar with catalog ops only."""
-    pooled = ad.mean_rows(t)  # (1, n)
-    return ad.cross_entropy_logits(pooled, 0)
+    """Reduce any 2-D or 3-D tensor to a scalar with catalog ops only."""
+    pooled = ad.mean_rows(t)  # (1, n), or (B, n) for a batch
+    targets = np.arange(pooled.shape[0]) % pooled.shape[1]
+    return ad.cross_entropy_logits(pooled, targets)
 
 
 class TestPerOpGradients:
@@ -187,6 +197,123 @@ class TestPerOpGradients:
             return ad.cross_entropy_logits(ad.mean_rows(ad.layer_norm(h)), 1)
 
         self.check(f, a, w, v)
+
+
+class TestBatchedOps:
+    """Rank-3 (B, T, d) inputs: per-op gradients, and agreement with one sample at a time."""
+
+    B = 3
+
+    def check(self, build, *tensors, tol=1e-6):
+        err = grad_check(lambda: build(*tensors), tensors, h=1e-5)
+        assert err < tol, f"grad mismatch {err:.3e}"
+
+    def test_gradients(self):
+        a = rand_tensor((self.B, 4, 5), 40)
+        b = rand_tensor((self.B, 4, 5), 41)
+        w = rand_tensor((5, 3), 42)
+        per_sample = rand_tensor((self.B, 5, 2), 43)
+        v = rand_tensor((5,), 44)
+        u = rand_tensor((4,), 45)
+        row = rand_tensor((1, 7), 46)
+        self.check(lambda a, w: scalarize(ad.matmul(a, w)), a, w)
+        self.check(lambda a, m: scalarize(ad.matmul(a, m)), a, per_sample)
+        self.check(lambda a: scalarize(ad.transpose(a)), a)
+        self.check(lambda a, b: scalarize(ad.multiply(ad.subtract(a, b), ad.add(a, b))), a, b)
+        self.check(lambda a: scalarize(ad.scale(a, 0.7)), a)
+        self.check(lambda a, v: scalarize(ad.mul_rowvec(a, v)), a, v)
+        self.check(lambda a, r: scalarize(ad.mul_rowvec(a, ad.exp(r))), a, row)
+        self.check(lambda a, u: scalarize(ad.mul_colvec(a, u)), a, u)
+        self.check(lambda a, v: scalarize(ad.add_rowvec(a, v)), a, v)
+        self.check(lambda a: scalarize(ad.softmax_rows(a)), a)
+        self.check(lambda a: scalarize(ad.exp(a)), a)
+        self.check(lambda a: scalarize(ad.layer_norm(a)), a)
+        self.check(lambda a: scalarize(ad.gelu(a)), a)
+
+    def test_batch_equals_stacked_samples(self):
+        a = rand_tensor((self.B, 4, 5), 50).data
+        w = rand_tensor((5, 3), 51).data
+        m = rand_tensor((self.B, 5, 4), 52).data
+        v = rand_tensor((5,), 53).data
+        u = rand_tensor((4,), 54).data
+        row = rand_tensor((1, 9), 55).data
+        cases = [
+            (lambda x: ad.matmul(x, Tensor(w)), False),
+            (lambda x, y: ad.matmul(x, y), True),
+            (ad.transpose, False),
+            (lambda x: ad.mul_rowvec(x, Tensor(v)), False),
+            (lambda x: ad.mul_rowvec(x, Tensor(row)), False),
+            (lambda x: ad.mul_colvec(x, Tensor(u)), False),
+            (lambda x: ad.add_rowvec(x, Tensor(v)), False),
+            (ad.softmax_rows, False),
+            (ad.layer_norm, False),
+            (ad.gelu, False),
+            (ad.mean_rows, False),
+        ]
+        for fn, takes_stack in cases:
+            batched = (fn(Tensor(a), Tensor(m)) if takes_stack else fn(Tensor(a))).data
+            for i in range(self.B):
+                one = (fn(Tensor(a[i]), Tensor(m[i])) if takes_stack else fn(Tensor(a[i]))).data
+                np.testing.assert_allclose(batched[i], one.reshape(batched[i].shape),
+                                           rtol=1e-14, atol=1e-15)
+
+    def test_shared_weight_gradient_sums_over_samples(self):
+        a = rand_tensor((self.B, 4, 5), 60)
+        w = rand_tensor((5, 3), 61)
+        scalarize(ad.matmul(a, w)).backward()
+        batched = w.grad.copy()
+        zero_grad([w])
+        for i in range(self.B):
+            one = Tensor(a.data[i])
+            ad.cross_entropy_logits(ad.mean_rows(ad.matmul(one, w)), i % 3).backward()
+        np.testing.assert_allclose(batched, w.grad, rtol=1e-13, atol=1e-15)
+
+    def test_cross_entropy_sums_rows(self):
+        z = np.random.default_rng(62).normal(size=(4, 5)) * 2
+        targets = np.array([0, 4, 2, 2])
+        total = ad.cross_entropy_logits(Tensor(z), targets).item()
+        rows = [ad.cross_entropy_logits(Tensor(z[i:i + 1]), int(t)).item()
+                for i, t in enumerate(targets)]
+        assert total == pytest.approx(sum(rows), abs=1e-12)
+        a = rand_tensor((4, 5), 63, scale=2.0)
+        self.check(lambda a: ad.cross_entropy_logits(a, targets), a)
+
+    def test_prefix_row_leaves_tail_gradient_zero(self):
+        a = rand_tensor((2, 3, 3), 64)
+        row = rand_tensor((1, 6), 65)
+        scalarize(ad.mul_rowvec(a, row)).backward()
+        assert np.abs(row.grad[0, :3]).max() > 0
+        np.testing.assert_array_equal(row.grad[0, 3:], 0.0)
+
+    def test_shape_validation(self):
+        x = rand_tensor((2, 3, 4), 0)
+        with pytest.raises(ValueError):
+            ad.matmul(x, rand_tensor((3, 4, 5), 1))  # batch sizes differ
+        with pytest.raises(ValueError):
+            ad.matmul(rand_tensor((3, 4), 1), rand_tensor((2, 4, 5), 2))  # 2-D @ 3-D
+        with pytest.raises(ValueError):
+            ad.matmul(x, rand_tensor((3, 5), 3))
+        with pytest.raises(ValueError):
+            ad.mul_rowvec(x, rand_tensor((1, 3), 4))  # positional row too short
+        with pytest.raises(ValueError):
+            ad.mul_rowvec(x, rand_tensor((2, 4), 5))  # more than one row
+        with pytest.raises(ValueError):
+            ad.mul_colvec(x, rand_tensor((4,), 6))
+        with pytest.raises(ValueError):
+            ad.add_rowvec(x, rand_tensor((3,), 7))
+        with pytest.raises(ValueError):
+            ad.softmax_rows(rand_tensor((4,), 8))
+        with pytest.raises(ValueError):
+            ad.mean_rows(rand_tensor((4,), 9))
+        logits = rand_tensor((3, 4), 10)
+        with pytest.raises(ValueError):
+            ad.cross_entropy_logits(logits, np.array([0, 1]))  # one target short
+        with pytest.raises(ValueError):
+            ad.cross_entropy_logits(logits, np.array([0, 1, 4]))
+        with pytest.raises(ValueError):
+            ad.cross_entropy_logits(logits, np.array([0.0, 1.0, 2.0]))
+        with pytest.raises(ValueError):
+            ad.cross_entropy_logits(x, np.array([0, 1]))  # logits must be 2-D
 
 
 class TestOpSemantics:

@@ -194,6 +194,14 @@ class TestExitCodes:
         code = main(["featurize", "--store", str(store), "--out", str(tmp_path / "f")])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("flag", [["--heads", "0"], ["--dropout", "1.0"]])
+    def test_invalid_model_flag_is_data_error(self, chain, tmp_path, capsys, flag):
+        code = main(["train", "--features", str(chain["feats"]),
+                     "--out", str(tmp_path / "m"), *flag])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("tdafault: ") and err.count("\n") == 1, err
+
     # overflow inside matmul is the expected route to the NumericsError
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_huge_learning_rate_is_numeric_error(self, chain, tmp_path, capsys):

@@ -2,12 +2,16 @@
 
 import logging
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import loadmat, savemat
 
 from tdafault.matio import (
+    MI_COMPRESSED,
     MI_DOUBLE,
     MI_INT8,
     MI_INT16,
@@ -206,6 +210,50 @@ class TestFormatErrors:
         elem = matrix_element(b"m", 6, (-2, 3), MI_DOUBLE, b"")
         with pytest.raises(MatFormatError, match="invalid dimensions"):
             parse_mat(file_bytes(elem))
+
+    def test_dimensions_length_not_a_multiple_of_four(self):
+        elem = bytearray(matrix_element(b"m", 6, (2, 3), MI_DOUBLE, np.arange(6.0).tobytes()))
+        # dimensions tag: after the 8-byte element tag and the 16-byte flags
+        struct.pack_into("<I", elem, 8 + 16 + 4, 7)
+        with pytest.raises(MatFormatError, match="dimensions length 7") as exc:
+            parse_mat(file_bytes(bytes(elem)))
+        assert exc.value.offset == 128 + 8 + 16
+
+
+def _compressed(element: bytes) -> bytes:
+    packed = zlib.compress(element, 6)
+    return struct.pack("<II", MI_COMPRESSED, len(packed)) + packed
+
+
+_FUZZ_SEEDS = (
+    file_bytes(
+        matrix_element(b"vib", 6, (4, 2), MI_DOUBLE, np.arange(8.0).tobytes()),
+        matrix_element(b"n", 10, (1, 3), MI_INT16, np.array([1, -2, 3], "<i2").tobytes()),
+    ),
+    file_bytes(_compressed(matrix_element(b"c", 12, (2, 2), MI_INT32,
+                                          np.arange(4, dtype="<i4").tobytes()))),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    which=st.sampled_from(range(len(_FUZZ_SEEDS))),
+    edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), min_size=1, max_size=4),
+    keep=st.none() | st.integers(0, 2**16),
+)
+def test_mutated_files_parse_or_raise_mat_format_error(which, edits, keep):
+    """Byte edits past the header, maybe a cut: a dict or MatFormatError, nothing else."""
+    seed = _FUZZ_SEEDS[which]
+    buf = bytearray(seed)
+    for pos, value in edits:
+        buf[128 + pos % (len(seed) - 128)] = value
+    if keep is not None:
+        del buf[128 + keep % (len(seed) - 128):]
+    try:
+        out = parse_mat(bytes(buf))
+    except MatFormatError:
+        return
+    assert isinstance(out, dict)
 
 
 class TestWriterValidation:

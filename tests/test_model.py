@@ -1,10 +1,13 @@
 """Encoder classifier: equivalences, checkpointing, and graph gradients."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from tdafault.autodiff import grad_check
-from tdafault.model import ModelConfig, TdaEncoder, encoder_forward, sinusoidal_positions
+from tdafault.model import ModelConfig, TdaEncoder, sinusoidal_positions
 
 TINY = dict(d_model=8, d_k=4, d_v=4, heads=2, layers=1, n_classes=3, t_max=6, dropout_rate=0.0)
 
@@ -40,8 +43,8 @@ class TestForward:
     def test_logit_shape_and_determinism(self):
         model = TdaEncoder(ModelConfig(**TINY, seed=3))
         toks = tokens_for(5)
-        out1 = encoder_forward(model, toks)
-        out2 = encoder_forward(model, toks)
+        out1 = model.logits(toks)
+        out2 = model.logits(toks)
         assert out1.shape == (3,)
         assert np.array_equal(out1, out2)
 
@@ -71,6 +74,15 @@ class TestForward:
         for t_len in (1, 3, 6):
             assert model.logits(tokens_for(t_len)).shape == (3,)
 
+    def test_batch_matches_single_sequences(self):
+        model = TdaEncoder(ModelConfig(**TINY, seed=3))
+        batch = np.stack([tokens_for(5, seed=s) for s in range(4)])
+        logits = model.forward(batch).data
+        assert logits.shape == (4, 3)
+        assert model.forward(batch[0]).shape == (1, 3)
+        for i in range(4):
+            np.testing.assert_allclose(logits[i], model.logits(batch[i]), rtol=1e-14, atol=1e-15)
+
     def test_token_validation(self):
         model = TdaEncoder(ModelConfig(**TINY, seed=0))
         with pytest.raises(ValueError):
@@ -79,6 +91,10 @@ class TestForward:
             model.forward(np.zeros((7, 9)))  # longer than t_max
         with pytest.raises(ValueError):
             model.forward(np.zeros((0, 9)))
+        with pytest.raises(ValueError):
+            model.forward(np.zeros((0, 4, 9)))  # empty batch
+        with pytest.raises(ValueError):
+            model.forward(np.zeros((2, 4, 8)))
 
     def test_positions_matter(self):
         # Permuting the positional table changes the logits: the encoder
@@ -122,6 +138,17 @@ class TestDropout:
             np.testing.assert_array_equal(
                 a.forward(toks, training=True).data, b.forward(toks, training=True).data
             )
+
+    def test_batch_draws_the_per_sequence_stream(self):
+        # A batch consumes the dropout stream sequence by sequence, so it
+        # sees exactly the masks that one-at-a-time training would.
+        cfg = ModelConfig(**dict(TINY, dropout_rate=0.3), seed=6)
+        batched, single = TdaEncoder(cfg), TdaEncoder(cfg)
+        batch = np.stack([tokens_for(5, seed=s) for s in range(3)])
+        out = batched.forward(batch, training=True).data
+        for i in range(3):
+            np.testing.assert_allclose(
+                out[i], single.forward(batch[i], training=True).data[0], rtol=1e-14, atol=1e-15)
 
     def test_zero_rate_is_noop_in_training(self):
         model = TdaEncoder(ModelConfig(**TINY, seed=7))
@@ -214,3 +241,22 @@ class TestModelGradients:
         # positions beyond the sequence length get zero gradient
         g = model.layers[0].a_trend[0].grad
         np.testing.assert_array_equal(g[0, 6:], 0.0)
+
+
+class TestGraphLifetime:
+    def test_graph_is_freed_without_the_cycle_collector(self):
+        # Desk-size model and segment: once the root of a trained graph is
+        # dropped, reference counting alone must free every interior node.
+        model = TdaEncoder(ModelConfig(seed=0))
+        tokens = tokens_for(16, seed=1)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            loss = model.loss(tokens, 3, training=True)
+            loss.backward()
+            interior = weakref.ref(loss._parents[0])
+            del loss
+            assert interior() is None
+        finally:
+            if was_enabled:
+                gc.enable()

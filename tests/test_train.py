@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from tdafault.autodiff import Tensor
+import tdafault.autodiff as ad
+from tdafault.autodiff import Tensor, zero_grad
 from tdafault.model import ModelConfig, TdaEncoder
 from tdafault.train import Adam, TrainConfig, evaluate, train
 
@@ -21,6 +22,55 @@ def toy_dataset(n_per_class=6, t_len=6, n_classes=3, seed=0):
             tokens[:, c] += 3.0
             out.append((tokens, c))
     return out
+
+
+def ragged_dataset(n=10, n_classes=3, seed=0):
+    """Separable sequences of 3 to 6 tokens, so batches mix lengths."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        c = i % n_classes
+        tokens = rng.normal(0.0, 0.3, (int(rng.integers(3, 7)), 9))
+        tokens[:, c] += 3.0
+        out.append((tokens, c))
+    return out
+
+
+def per_sample_reference(model, train_data, val_data, cfg):
+    """One graph and one backward per sample: the loop batching must reproduce.
+
+    Same shuffling, Adam and best-epoch restore as ``train``; no early stop.
+    """
+    params = model.parameters()
+    opt = Adam(params, cfg)
+    shuffle_rng = np.random.default_rng([cfg.seed, 1])
+    history, best, snapshot = [], float("inf"), None
+    for epoch in range(cfg.max_epochs):
+        order = shuffle_rng.permutation(len(train_data))
+        running = 0.0
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            zero_grad(params.values())
+            for j in batch:
+                tokens, label = train_data[j]
+                loss = model.loss(tokens, label, training=True)
+                ad.scale(loss, 1.0 / len(batch)).backward()
+                running += loss.item()
+            opt.step()
+        val_total, hits = 0.0, 0
+        for tokens, label in val_data:
+            logits = model.forward(tokens)
+            val_total += ad.cross_entropy_logits(logits, label).item()
+            hits += int(np.argmax(logits.data[0]) == label)
+        val_loss = val_total / len(val_data)
+        history.append({"epoch": epoch, "train_loss": running / len(train_data),
+                        "val_loss": val_loss, "val_accuracy": hits / len(val_data)})
+        if val_loss < best:
+            best = val_loss
+            snapshot = {k: p.data.copy() for k, p in params.items()}
+    for name, p in params.items():
+        p.data = snapshot[name]
+    return history
 
 
 class TestTrainConfig:
@@ -140,6 +190,25 @@ class TestTrainLoop:
         result = train(model, data, data, cfg)
         assert result.epochs_run == 2
         assert len(result.history) == 2
+
+    def test_batched_matches_per_sample_loop(self):
+        # Batches of 4 over 10 sequences of mixed lengths: every batch is
+        # split into length groups and the last batch is ragged (2).
+        train_data, val_data = ragged_dataset(seed=1), ragged_dataset(n=7, seed=2)
+        model_cfg = ModelConfig(seed=4, **dict(TINY, dropout_rate=0.1))
+        cfg = TrainConfig(learning_rate=1e-2, batch_size=4, max_epochs=4, patience=4, seed=3)
+        batched, reference = TdaEncoder(model_cfg), TdaEncoder(model_cfg)
+        result = train(batched, train_data, val_data, cfg)
+        want = per_sample_reference(reference, train_data, val_data, cfg)
+        assert len(result.history) == len(want)
+        for got, ref in zip(result.history, want):
+            assert got.keys() == ref.keys()
+            for key in ref:
+                assert got[key] == pytest.approx(ref[key], rel=0, abs=1e-12), key
+        ref_params = reference.parameters()
+        for name, p in batched.parameters().items():
+            np.testing.assert_allclose(p.data, ref_params[name].data, rtol=0, atol=1e-12,
+                                       err_msg=name)
 
     def test_empty_sets_rejected(self):
         model = TdaEncoder(ModelConfig(seed=0, **TINY))
