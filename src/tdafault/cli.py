@@ -203,25 +203,22 @@ def _load_features(dirpath) -> tuple[dict, dict, Standardizer]:
 
 
 def _cmd_featurize(args) -> int:
-    section = _config_section(args, "features")
+    kwargs = _merged(
+        _config_section(args, "features"),
+        ("window_len", "stride", "ma_window", *SplitConfig.__dataclass_fields__),
+        window_len=args.window_len,
+        stride=args.stride,
+        ma_window=args.ma_window,
+        segment_len=args.segment_len,
+        train_fraction=args.train_frac,
+        val_fraction=args.val_frac,
+    )
     window = WindowSpec(
-        length=args.window_len or section.get("window_len", WindowSpec.length),
-        stride=args.stride or section.get("stride", WindowSpec.stride),
+        length=kwargs.pop("window_len", WindowSpec.length),
+        stride=kwargs.pop("stride", WindowSpec.stride),
     )
-    ma = MaConfig(window=args.ma_window or section.get("ma_window", 16))
-    split = SplitConfig(
-        segment_len=args.segment_len or section.get("segment_len", SplitConfig.segment_len),
-        train_fraction=(
-            args.train_frac
-            if args.train_frac is not None
-            else section.get("train_fraction", SplitConfig.train_fraction)
-        ),
-        val_fraction=(
-            args.val_frac
-            if args.val_frac is not None
-            else section.get("val_fraction", SplitConfig.val_fraction)
-        ),
-    )
+    ma = MaConfig(window=kwargs.pop("ma_window", 16))
+    split = SplitConfig(**kwargs)
     recordings = load_recordings(args.store)
     dataset = build_dataset(
         recordings,

@@ -226,14 +226,28 @@ def save_recordings(
 
 
 def load_recordings(dirpath) -> list[TimeSeries]:
-    """Read a directory store written by :func:`save_recordings`."""
+    """Read a directory store written by :func:`save_recordings`.
+
+    Each ``.npy`` must be a 1-D float64 array of the manifest's
+    ``n_samples``; anything else raises ``ValueError`` naming the key.
+    """
     dirpath = Path(dirpath)
     manifest = json.loads((dirpath / "manifest.json").read_text())
     if manifest.get("format") != STORE_FORMAT:
         raise ValueError(f"unrecognized store format {manifest.get('format')!r}")
     out = []
     for entry in manifest["recordings"]:
-        samples = np.load(dirpath / f"{entry['key']}.npy")
+        key = entry["key"]
+        try:
+            samples = np.load(dirpath / f"{key}.npy")
+        except (ValueError, EOFError) as exc:  # cut-short or foreign file
+            raise ValueError(f"recording {key!r}: {exc}") from exc
+        expected = (entry["n_samples"],)
+        if samples.dtype != np.float64 or samples.shape != expected:
+            raise ValueError(
+                f"recording {key!r}: expected float64 samples of shape {expected}, "
+                f"got {samples.dtype} of shape {samples.shape}"
+            )
         out.append(
             TimeSeries(
                 samples=samples,

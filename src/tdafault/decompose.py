@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 
 __all__ = ["TimeSeries", "Decomposition", "decompose_additive", "estimate_period"]
 
@@ -128,7 +129,10 @@ def estimate_period(x: TimeSeries, hint_hz: float | None = None) -> int:
 
     With ``hint_hz`` the period is simply ``round(sample_rate / hint)``.
     Without it, the lag maximising the (mean-removed) autocorrelation over
-    lags ``[2, len(x)//4]`` wins, ties broken toward the smallest lag.
+    lags ``[2, len(x)//4]`` wins, ties broken toward the smallest lag.  The
+    winner is scored by exact dot products, so it is the lag the direct
+    ``np.correlate`` search picks, found in O(n log n) time.  A series that
+    is exactly zero after mean removal ties at every lag and gets 2.
     """
     n = len(x)
     if n < 16:
@@ -146,7 +150,29 @@ def estimate_period(x: TimeSeries, hint_hz: float | None = None) -> int:
     centred = x.samples - x.samples.mean()
     max_lag = n // 4
     # Biased autocorrelation; the taper toward long lags breaks period
-    # multiples in favour of the fundamental.
-    full = np.correlate(centred, centred, mode="full")[n - 1:]
-    lags = full[2:max_lag + 1]
-    return 2 + int(np.argmax(lags))
+    # multiples in favour of the fundamental.  Lag k is the exact dot product
+    # of the series with itself shifted by k; it is found in O(n log n) by a
+    # zero-padded FFT (Wiener-Khinchin) and confirmed by exact dot products.
+    energy = float(np.dot(centred, centred))
+    if energy == 0.0:
+        return 2
+    # Padding to n + max_lag keeps the circular wrap-around off lags <= max_lag.
+    nfft = next_fast_len(n + max_lag, real=True)
+    spectrum = rfft(centred, nfft)
+    re, im = spectrum.real, spectrum.imag
+    np.square(re, out=re)
+    np.square(im, out=im)
+    re += im
+    im[:] = 0.0
+    approx = irfft(spectrum, nfft, overwrite_x=True)[2:max_lag + 1]
+    del spectrum
+    # Rounding bound: a dot product of length <= n errs by at most n*u*energy
+    # (u = eps/2; Higham's gamma_n bound with Cauchy-Schwarz), and an FFT
+    # value by far less than 1024*u*energy (measured: at most 1.4e-15*energy,
+    # about 13*u, on 480k-sample recordings).  A lag's lead can shrink by both
+    # errors on two lags, so every lag that could be the exact argmax lies
+    # within this band of the FFT maximum.
+    band = (n + 1024) * np.finfo(np.float64).eps * energy
+    candidates = 2 + np.flatnonzero(approx >= approx.max() - band)
+    exact = [np.dot(centred[:n - k], centred[k:]) for k in candidates]
+    return int(candidates[int(np.argmax(exact))])

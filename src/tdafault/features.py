@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .movavg import MaConfig, hema
 
@@ -145,9 +146,34 @@ class TokenSequence:
         )
 
 
-def _central_moments(x: np.ndarray, upto: int) -> list[float]:
-    centred = x - x.mean()
-    return [float(np.mean(centred**k)) for k in range(2, upto + 1)]
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] @ b[i]`` for every row, bit for bit, without a product matrix."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _moment_ratios(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise population skewness and excess kurtosis of a 2-D array.
+
+    Rows whose second moment falls below the floor (constant windows) get 0
+    for both.
+    """
+    centred = rows - rows.mean(axis=1, keepdims=True)
+    power = centred * centred
+    m2 = power.mean(axis=1)
+    m3 = _row_dot(power, centred) / rows.shape[1]
+    del centred
+    power *= power
+    m4 = power.mean(axis=1)
+    del power
+    flat = m2 < _VAR_FLOOR
+    m2[flat] = 1.0
+    skew = np.where(flat, 0.0, m3 / m2**1.5)
+    kurt = np.where(flat, 0.0, m4 / m2**2 - 3.0)
+    return skew, kurt
+
+
+def _rms_rows(rows: np.ndarray) -> np.ndarray:
+    return np.sqrt(_row_dot(rows, rows) / rows.shape[1])
 
 
 def skewness(x) -> float:
@@ -155,10 +181,7 @@ def skewness(x) -> float:
     arr = np.asarray(x, dtype=np.float64)
     if arr.size < 3:
         raise ValueError(f"skewness needs at least 3 samples, got {arr.size}")
-    m2, m3 = _central_moments(arr, 3)
-    if m2 < _VAR_FLOOR:
-        return 0.0
-    return m3 / m2**1.5
+    return float(_moment_ratios(arr.reshape(1, -1))[0][0])
 
 
 def kurtosis_excess(x) -> float:
@@ -166,58 +189,20 @@ def kurtosis_excess(x) -> float:
     arr = np.asarray(x, dtype=np.float64)
     if arr.size < 4:
         raise ValueError(f"kurtosis needs at least 4 samples, got {arr.size}")
-    m2, _, m4 = _central_moments(arr, 4)
-    if m2 < _VAR_FLOOR:
-        return 0.0
-    return m4 / m2**2 - 3.0
+    return float(_moment_ratios(arr.reshape(1, -1))[1][0])
 
 
 def rms(x) -> float:
     arr = np.asarray(x, dtype=np.float64)
-    return float(np.sqrt(np.mean(arr**2)))
-
-
-def _slope(x: np.ndarray) -> float:
-    t = np.arange(x.size, dtype=np.float64)
-    t -= t.mean()
-    denom = float(np.dot(t, t))
-    if denom == 0.0:
-        return 0.0
-    return float(np.dot(t, x - x.mean()) / denom)
-
-
-def _lag1_autocorr(x: np.ndarray) -> float:
-    centred = x - x.mean()
-    denom = float(np.dot(centred, centred))
-    if denom < _VAR_FLOOR:
-        return 0.0
-    return float(np.dot(centred[:-1], centred[1:]) / denom)
-
-
-def _window_token(res: np.ndarray, tr: np.ndarray, se: np.ndarray, ma: MaConfig) -> np.ndarray:
-    filtered = hema(res, ma)
-    valid = filtered.valid_values
-    smooth_mean = float(np.mean(valid)) if valid.size else float(np.mean(filtered.values))
-    return np.array(
-        [
-            filtered.values[-1],
-            smooth_mean,
-            skewness(res),
-            kurtosis_excess(res),
-            rms(res),
-            float(tr.mean()),
-            _slope(tr),
-            rms(se),
-            _lag1_autocorr(se),
-        ]
-    )
+    return float(_rms_rows(arr.reshape(1, -1))[0])
 
 
 def featurize(decomp, spec: WindowSpec, ma: MaConfig | None = None, label: str | None = None) -> TokenSequence:
     """Slice a decomposition into windows and compute one token per window.
 
     The Hull-EMA features are computed from each window's residual samples
-    alone, so tokens depend only on their own window.
+    alone, so tokens depend only on their own window.  All windows are
+    processed at once, as the rows of one window matrix per component.
 
     Parameters
     ----------
@@ -233,16 +218,37 @@ def featurize(decomp, spec: WindowSpec, ma: MaConfig | None = None, label: str |
     """
     if ma is None:
         ma = MaConfig(window=16)
-    n = decomp.residual.size
-    count = spec.count(n)
+    count = spec.count(decomp.residual.size)
+    # (count, length) views of the three components; nothing is copied here.
+    res, tr, se = (
+        sliding_window_view(part, spec.length)[::spec.stride]
+        for part in (decomp.residual, decomp.trend, decomp.seasonal)
+    )
 
     tokens = np.empty((count, len(FEATURE_NAMES)))
-    for w in range(count):
-        lo = w * spec.stride
-        hi = lo + spec.length
-        tokens[w] = _window_token(
-            decomp.residual[lo:hi], decomp.trend[lo:hi], decomp.seasonal[lo:hi], ma
-        )
+    filtered = hema(res, ma)
+    tokens[:, 0] = filtered.values[:, -1]
+    valid = filtered.valid_values if filtered.valid_from < spec.length else filtered.values
+    tokens[:, 1] = valid.mean(axis=1)
+    del filtered, valid
+    tokens[:, 2], tokens[:, 3] = _moment_ratios(res)
+    tokens[:, 4] = _rms_rows(res)
+
+    tokens[:, 5] = tr.mean(axis=1)
+    # Least-squares slope against time centred on the window; sum(t) is 0.
+    t = np.arange(spec.length) - (spec.length - 1) / 2.0
+    centred = tr - tokens[:, 5:6]
+    tokens[:, 6] = centred @ t / (t @ t)
+
+    tokens[:, 7] = _rms_rows(se)
+    centred = se - se.mean(axis=1, keepdims=True)
+    energy = _row_dot(centred, centred)
+    lag1 = _row_dot(centred[:, :-1], centred[:, 1:])
+    del centred
+    flat = energy < _VAR_FLOOR
+    energy[flat] = 1.0
+    tokens[:, 8] = np.where(flat, 0.0, lag1 / energy)
+
     if not np.all(np.isfinite(tokens)):
         raise ValueError("featurization produced non-finite values")
     return TokenSequence(tokens=tokens, label=label)

@@ -306,7 +306,13 @@ class TdaEncoder:
         version = d.get("format_version")
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint format_version {version!r}")
-        model = cls(ModelConfig(**d["config"]))
+        config = d["config"]
+        if not isinstance(config, dict):
+            raise ValueError("checkpoint config must be a JSON object")
+        unknown = sorted(set(config) - set(ModelConfig.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown checkpoint config keys: {unknown}")
+        model = cls(ModelConfig(**config))
         params = model.parameters()
         stored = d["params"]
         missing = set(params) ^ set(stored)

@@ -3,7 +3,9 @@
 All filters return a :class:`FilteredSeries` whose ``values`` align 1:1 with
 the input samples.  Outputs before ``valid_from`` come from a documented
 warm-up rule (partial windows for the WMA, first-sample seeding for the EMA)
-and should be excluded from downstream statistics.
+and should be excluded from downstream statistics.  :func:`ema` and
+:func:`hema` also filter each row of a 2-D array along its last axis, exactly
+as the 1-D call would filter that row.
 
 The Hull construction exists in two modes.  ``hull_standard`` is the
 published recipe: ``Diff = 2*MA(ceil(n/2)) - MA(n)`` re-smoothed with window
@@ -65,10 +67,11 @@ class MaConfig:
 class FilteredSeries:
     """Filter output aligned with its input.
 
-    ``values[t]`` for ``t < valid_from`` are warm-up samples (partial window
-    or spin-up region) and are flagged rather than silently mixed into
-    statistics; ``valid_from`` may equal or exceed ``len(values)`` when the
-    series is shorter than the warm-up span.
+    ``values[..., t]`` for ``t < valid_from`` are warm-up samples (partial
+    window or spin-up region) and are flagged rather than silently mixed into
+    statistics; ``valid_from`` may equal or exceed the series length when the
+    series is shorter than the warm-up span.  For a 2-D input every row is a
+    series and shares ``valid_from``.
     """
 
     values: np.ndarray
@@ -77,13 +80,13 @@ class FilteredSeries:
     @property
     def valid_values(self) -> np.ndarray:
         """The samples with a full window of history behind them."""
-        return self.values[self.valid_from:]
+        return self.values[..., self.valid_from:]
 
 
-def _as_series(x) -> np.ndarray:
+def _as_series(x, max_ndim: int = 1) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D sequence, got shape {arr.shape}")
+    if not 1 <= arr.ndim <= max_ndim:
+        raise ValueError(f"expected at most {max_ndim}-D input, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError("input series is empty")
     return arr
@@ -125,15 +128,18 @@ def ema(x, alpha: float) -> FilteredSeries:
 
     Parameters
     ----------
-    x : sequence of float
+    x : sequence of float, or 2-D array
+        A 2-D array is filtered row by row along its last axis, each row
+        seeded from its own first sample.
     alpha : float
         Smoothing factor in ``(0, 1]``.
     """
-    arr = _as_series(x)
+    arr = _as_series(x, max_ndim=2)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     # IIR recursion y[t] = alpha*x[t] + (1-alpha)*y[t-1] with y[0] = x[0].
-    out = lfilter([alpha], [1.0, -(1.0 - alpha)], arr, zi=[(1.0 - alpha) * arr[0]])[0]
+    zi = (1.0 - alpha) * arr[..., :1]
+    out = lfilter([alpha], [1.0, -(1.0 - alpha)], arr, axis=-1, zi=zi)[0]
     return FilteredSeries(np.asarray(out, dtype=np.float64), valid_from=0)
 
 
@@ -149,9 +155,11 @@ def _staged_hull(x, cfg: MaConfig, stage) -> FilteredSeries:
     if cfg.window < 2:
         raise ValueError(f"Hull construction needs window >= 2, got {cfg.window}")
     w1, w2, w3 = _hull_windows(cfg.window, cfg.hull_mode)
-    first = stage(x, w1)
-    second = stage(x, w2)
-    diff = 2.0 * first.values - second.values
+    # diff = 2*first - second, built in place so that at most two
+    # series-sized arrays are alive at once.
+    diff = stage(x, w1).values
+    diff *= 2.0
+    diff -= stage(x, w2).values
     out = stage(diff, w3)
     # Warm-up accounting is by window even for the EMA stages: the final
     # stage needs w3 settled samples on top of the slower intermediate.
@@ -176,6 +184,6 @@ def hema(x, cfg: MaConfig) -> FilteredSeries:
     Stage alphas follow ``cfg.alpha_for`` on the same windows :func:`hma`
     uses, so with the default window-derived rule the ``hull_standard`` mode
     keeps the low-lag character while ``paper_literal`` collapses to a
-    double EMA.
+    double EMA.  Like :func:`ema`, it filters each row of a 2-D array.
     """
     return _staged_hull(x, cfg, lambda s, w: ema(s, cfg.alpha_for(w)))

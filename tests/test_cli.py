@@ -202,6 +202,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("tdafault: ") and err.count("\n") == 1, err
 
+    def test_unknown_checkpoint_config_key_is_data_error(self, chain, tmp_path, capsys):
+        checkpoint = json.loads((chain["model"] / "checkpoint.json").read_text())
+        checkpoint["config"]["colour"] = 1
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(checkpoint))
+        code = main(["eval", "--features", str(chain["feats"]), "--checkpoint", str(path),
+                     "--out", str(tmp_path / "r")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("tdafault: ") and err.count("\n") == 1, err
+        assert "colour" in err
+
+    def test_invalid_featurize_flag_is_data_error(self, chain, tmp_path, capsys):
+        code = main(["featurize", "--store", str(chain["store"]),
+                     "--out", str(tmp_path / "f"), "--window-len", "0"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("tdafault: ") and err.count("\n") == 1, err
+
     # overflow inside matmul is the expected route to the NumericsError
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_huge_learning_rate_is_numeric_error(self, chain, tmp_path, capsys):
@@ -245,6 +264,30 @@ class TestConfigFile:
         code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s")])
         assert code == EXIT_DATA
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_unknown_featurize_config_key_is_data_error(self, chain, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"features": {"window_length": 64}}))
+        code = main(["featurize", "--config", str(cfg), "--store", str(chain["store"]),
+                     "--out", str(tmp_path / "f")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "unknown config keys" in err and "window_length" in err
+
+    def test_featurize_config_keys_apply(self, chain, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"features": {
+            "window_len": 128, "stride": 64, "ma_window": 8, "segment_len": 8,
+            "train_fraction": 0.6, "val_fraction": 0.2}}))
+        feats = tmp_path / "f"
+        assert main(["featurize", "--config", str(cfg), "--store", str(chain["store"]),
+                     "--out", str(feats), "--stride", "128",
+                     "--period-hint-hz", HINT]) == EXIT_OK
+        manifest = json.loads((feats / "manifest.json").read_text())
+        assert manifest["window"] == {"length": 128, "stride": 128}
+        assert manifest["ma"]["window"] == 8
+        assert manifest["split"] == {"segment_len": 8, "train_fraction": 0.6,
+                                     "val_fraction": 0.2}
 
     def test_non_object_config_is_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -179,6 +179,29 @@ class TestStore:
         with pytest.raises(ValueError, match="format"):
             load_recordings(tmp_path / "s")
 
+    def test_truncated_recording_rejected(self, tmp_path, recordings):
+        save_recordings(tmp_path / "s", recordings)
+        np.save(tmp_path / "s" / "rec_00001.npy", recordings[1].samples[:-1])
+        with pytest.raises(ValueError, match="rec_00001"):
+            load_recordings(tmp_path / "s")
+
+    @pytest.mark.parametrize("keep", [0, 40, -8])
+    def test_cut_short_file_rejected(self, tmp_path, recordings, keep):
+        save_recordings(tmp_path / "s", recordings)
+        path = tmp_path / "s" / "rec_00000.npy"
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError, match="rec_00000"):
+            load_recordings(tmp_path / "s")
+
+    @pytest.mark.parametrize(
+        "samples", [np.zeros((256, 2)), np.zeros(512, dtype=np.float32)], ids=["2d", "float32"]
+    )
+    def test_wrong_shape_or_dtype_rejected(self, tmp_path, recordings, samples):
+        save_recordings(tmp_path / "s", recordings)
+        np.save(tmp_path / "s" / "rec_00000.npy", samples)
+        with pytest.raises(ValueError, match="rec_00000"):
+            load_recordings(tmp_path / "s")
+
     def test_empty_save_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save_recordings(tmp_path / "s", [])

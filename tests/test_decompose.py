@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdafault.data import SynthConfig, gen_synthetic
 from tdafault.decompose import (
     Decomposition,
     TimeSeries,
@@ -15,6 +16,41 @@ from tdafault.decompose import (
 
 def make_series(samples, fs=100.0):
     return TimeSeries(samples=np.asarray(samples, dtype=float), sample_rate_hz=fs)
+
+
+def direct_period(samples):
+    """The direct O(n^2) search: ``np.correlate`` argmax over lags [2, n//4]."""
+    centred = samples - samples.mean()
+    n = centred.size
+    full = np.correlate(centred, centred, mode="full")[n - 1:]
+    return 2 + int(np.argmax(full[2:n // 4 + 1]))
+
+
+@st.composite
+def period_search_inputs(draw):
+    """Series of every shape the period search must agree on."""
+    n = draw(st.one_of(st.just(16), st.integers(16, 600)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # "ties" is drawn twice as often: exact ties are what the FFT alone gets wrong.
+    kind = draw(st.sampled_from(["random", "periodic", "ties", "ties", "near_constant", "zero"]))
+    t = np.arange(n)
+    if kind == "random":
+        return rng.normal(size=n) * 10.0 ** draw(st.integers(-6, 6))
+    if kind == "periodic":
+        period = draw(st.integers(2, n // 4))
+        noise = draw(st.sampled_from([0.0, 0.01, 0.3, 1.0]))
+        phase = rng.uniform(0, 2 * np.pi)
+        return np.sin(2 * np.pi * t / period + phase) + noise * rng.normal(size=n)
+    if kind == "ties":
+        # Small integers with an exactly zero mean: every lag's sum is an
+        # exact integer, so equal lags tie exactly and the smallest must win.
+        half = rng.integers(-2, 3, size=n // 2) * (rng.random(n // 2) < draw(st.floats(0.02, 0.3)))
+        return np.r_[half, -half, np.zeros(n % 2)].astype(np.float64)
+    if kind == "near_constant":
+        level = draw(st.floats(-1e3, 1e3, allow_nan=False))
+        jitter = draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-6]))
+        return level + jitter * abs(level) * rng.normal(size=n)
+    return np.zeros(n)
 
 
 def brute_decompose(x, period):
@@ -167,6 +203,37 @@ class TestEstimatePeriod:
     def test_short_series_errors(self):
         with pytest.raises(ValueError):
             estimate_period(make_series(np.ones(8)))
+
+    @given(period_search_inputs())
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    def test_matches_direct_search(self, x):
+        assert estimate_period(make_series(x)) == direct_period(x)
+
+    def test_exact_ties_go_to_the_smallest_lag(self):
+        # Zero-mean unit impulses: lags 10, 20, 30, 50, 51 and 101 each sum
+        # to exactly 1, and no lag sums to more.
+        x = np.zeros(500)
+        x[[0, 10, 30]] = 1.0
+        x[[100, 150, 201]] = -1.0
+        full = np.correlate(x, x, mode="full")[x.size - 1:]
+        assert np.flatnonzero(full[2:126] == 1.0).tolist() == [8, 18, 28, 48, 49, 99]
+        assert full[2:126].max() == 1.0
+        assert estimate_period(make_series(x)) == 10 == direct_period(x)
+
+    @pytest.mark.parametrize("fs, duration", [(48000.0, 0.25), (4096.0, 2.0)])
+    def test_synthetic_recordings_match_direct_search(self, fs, duration):
+        cfg = SynthConfig(sample_rate_hz=fs, duration_s=duration, recordings_per_class=1, seed=7)
+        for ts in gen_synthetic(cfg):
+            assert estimate_period(ts) == direct_period(ts.samples), ts.label
+
+    @pytest.mark.parametrize("n", [16, 257, 4096])
+    def test_dot_rescoring_reproduces_correlate_bitwise(self, n):
+        x = np.random.default_rng(n).normal(size=n)
+        centred = x - x.mean()
+        full = np.correlate(centred, centred, mode="full")[n - 1:]
+        lags = range(2, n // 4 + 1)
+        exact = np.array([np.dot(centred[:n - k], centred[k:]) for k in lags])
+        np.testing.assert_array_equal(exact, full[2:n // 4 + 1])
 
 
 class TestTimeSeries:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdafault.decompose import TimeSeries, decompose_additive
+from tdafault.data import SynthConfig, gen_synthetic
+from tdafault.decompose import TimeSeries, decompose_additive, estimate_period
 from tdafault.features import (
     CHANNEL_MAP,
     FEATURE_NAMES,
@@ -140,6 +141,25 @@ class TestFeaturize:
                 decomp.residual[sl], decomp.trend[sl], decomp.seasonal[sl], ma
             )
             np.testing.assert_allclose(seq.tokens[w], want, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "fs, duration, length, stride",
+        [(48000.0, 0.25, 2048, 1024), (4096.0, 2.0, 256, 128)],
+    )
+    def test_synthetic_recordings_match_brute_force(self, fs, duration, length, stride):
+        cfg = SynthConfig(sample_rate_hz=fs, duration_s=duration, recordings_per_class=1, seed=3)
+        spec = WindowSpec(length=length, stride=stride)
+        ma = MaConfig(window=16)
+        for ts in gen_synthetic(cfg):
+            decomp = decompose_additive(ts, estimate_period(ts))
+            seq = featurize(decomp, spec, ma=ma)
+            assert seq.tokens.shape == (spec.count(len(ts)), 9)
+            for w, token in enumerate(seq.tokens):
+                sl = slice(w * stride, w * stride + length)
+                want = brute_token(
+                    decomp.residual[sl], decomp.trend[sl], decomp.seasonal[sl], ma
+                )
+                np.testing.assert_allclose(token, want, rtol=1e-12, atol=1e-12)
 
     def test_channel_map_partitions_features(self, decomp):
         seq = featurize(decomp, WindowSpec(length=128, stride=64))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -119,6 +120,18 @@ class TestEma:
         assert out.min() >= x.min() - 1e-12
         assert out.max() <= x.max() + 1e-12
 
+    @pytest.mark.parametrize("alpha", [0.05, 2.0 / 17.0, 0.5, 1.0])
+    def test_rows_of_2d_input_equal_1d_calls(self, alpha):
+        rows = np.stack(series_bank(count=12))
+        out = ema(rows, alpha)
+        assert out.values.shape == rows.shape and out.valid_from == 0
+        for row, filtered in zip(rows, out.values):
+            np.testing.assert_array_equal(filtered, ema(row, alpha).values)
+
+    def test_rejects_3d_input(self):
+        with pytest.raises(ValueError):
+            ema(np.ones((2, 3, 4)), 0.5)
+
     def test_window_to_alpha_rule(self):
         cfg = MaConfig(window=9)
         assert cfg.alpha_for(9) == pytest.approx(2.0 / 10.0, abs=0)
@@ -143,6 +156,20 @@ class TestHullConstructions:
 
         for x in series_bank(count=10):
             np.testing.assert_allclose(hema(x, cfg).values, brute_hull(x, cfg, stage), atol=1e-12)
+
+    @pytest.mark.parametrize("mode", HULL_MODES)
+    @pytest.mark.parametrize("alpha", [None, 0.3])
+    def test_hema_rows_of_2d_input_equal_1d_calls(self, mode, alpha):
+        cfg = MaConfig(window=16, ema_alpha=alpha, hull_mode=mode)
+        # Overlapping windows of one series, as featurize passes them.
+        rows = sliding_window_view(np.concatenate(series_bank(count=4)), 100)[::37]
+        out = hema(rows, cfg)
+        assert out.values.shape == rows.shape
+        for row, filtered, valid in zip(rows, out.values, out.valid_values):
+            single = hema(row, cfg)
+            assert out.valid_from == single.valid_from
+            np.testing.assert_array_equal(filtered, single.values)
+            np.testing.assert_array_equal(valid, single.valid_values)
 
     def test_literal_mode_collapses_to_double_smoothing(self):
         # With both intermediates at ceil(n/2), 2*first - second == first,
