@@ -9,7 +9,9 @@ training step fails loudly instead of poisoning the parameters.
 The ops take a single sample as a 2-D ``(T, d)`` tensor or a minibatch as a
 3-D ``(B, T, d)`` tensor, so one graph (and one ``backward``) covers a whole
 batch.  Row-wise ops work along the last axis; weights shared by every
-sample stay 2-D and their adjoints sum over the batch.
+sample stay 2-D and their adjoints sum over the batch.  Multi-head
+attention folds its heads into the batch axis (:func:`split_heads`,
+:func:`merge_heads`), so no tensor needs a fourth axis.
 
 Graph mechanics follow the usual closure pattern: each op records its parent
 tensors and an adjoint closure; ``backward`` replays the closures in exact
@@ -31,6 +33,8 @@ __all__ = [
     "NumericsError",
     "matmul",
     "transpose",
+    "split_heads",
+    "merge_heads",
     "add",
     "subtract",
     "multiply",
@@ -185,6 +189,41 @@ def transpose(a: Tensor) -> Tensor:
     return _make(_swap(a.data), (a,), "transpose", backward)
 
 
+def _split(x: np.ndarray, heads: int) -> np.ndarray:
+    n_batch, t, _ = x.shape
+    return x.reshape(n_batch, t, heads, -1).swapaxes(1, 2).reshape(n_batch * heads, t, -1)
+
+
+def _merge(x: np.ndarray, heads: int) -> np.ndarray:
+    _, t, d = x.shape
+    return x.reshape(-1, heads, t, d).swapaxes(1, 2).reshape(-1, t, heads * d)
+
+
+def split_heads(a: Tensor, heads: int) -> Tensor:
+    """Fold heads into the batch, ``(B, T, heads*d) -> (B*heads, T, d)``.
+
+    Sample ``b*heads + h`` is column block ``h`` of sequence ``b``.
+    """
+    if a.data.ndim != 3 or heads < 1 or a.shape[-1] % heads:
+        raise ValueError(f"split_heads cannot split {a.shape} into {heads} heads")
+
+    def backward(out):
+        a.accumulate(_merge(out.grad, heads))
+
+    return _make(_split(a.data, heads), (a,), "split_heads", backward)
+
+
+def merge_heads(a: Tensor, heads: int) -> Tensor:
+    """Unfold heads from the batch: ``(B*heads, T, d) -> (B, T, heads*d)``."""
+    if a.data.ndim != 3 or heads < 1 or a.shape[0] % heads:
+        raise ValueError(f"merge_heads cannot merge {a.shape} over {heads} heads")
+
+    def backward(out):
+        a.accumulate(_split(out.grad, heads))
+
+    return _make(_merge(a.data, heads), (a,), "merge_heads", backward)
+
+
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
     if a.shape != b.shape:
         raise ValueError(f"{op} shape mismatch: {a.shape} vs {b.shape}")
@@ -241,35 +280,34 @@ def _batch_sum(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def mul_rowvec(a: Tensor, v: Tensor) -> Tensor:
-    """Multiply every row of ``a`` elementwise by the vector ``v``.
+    """Scale column ``j`` of sample ``s`` of ``a`` by ``v[s % k, j]``.
 
-    Broadcast over rows (and samples): column ``j`` of the result is
-    ``a[..., j] * v[j]``.  ``v`` is either a vector of exactly ``n`` factors
-    (``n = a.shape[-1]``) or a positional row of shape ``(1, m)`` with
-    ``m >= n``, of which the first ``n`` entries apply; the rest get zero
-    gradient.  The second form scales attention scores by per-key factors
-    stored for every position up to a model's maximum length.
+    ``v`` is a ``(k, m)`` table with ``m >= n = a.shape[-1]``; a 2-D ``a`` is
+    sample 0, and the number of samples must be a multiple of ``k``.  Only
+    the first ``n`` entries of each row apply; the rest get zero gradient.
+    ``k = 1`` is one positional row for every sample; ``k = heads`` gives
+    each head of a ``(B*heads, T, T)`` score stack its own row.
     """
     _need_rows(a, "mul_rowvec")
-    n = a.shape[-1]
-    whole = v.data.ndim == 1 and v.shape[0] == n
-    prefix = v.data.ndim == 2 and v.shape[0] == 1 and v.shape[1] >= n
-    if not (whole or prefix):
-        raise ValueError(f"mul_rowvec shape mismatch: {a.shape} vs vector {v.shape}")
-    factors = v.data.reshape(-1)[:n]
+    t, n = a.shape[-2:]
+    samples = a.shape[0] if a.data.ndim == 3 else 1
+    if v.data.ndim != 2 or v.shape[0] < 1 or v.shape[1] < n or samples % v.shape[0]:
+        raise ValueError(f"mul_rowvec shape mismatch: {a.shape} vs table {v.shape}")
+    k = v.shape[0]
+    grouped = a.data.reshape(-1, k, t, n)  # [g, r] is sample g*k + r
+    factors = v.data[:, None, :n]
 
     def backward(out):
+        g = out.grad.reshape(grouped.shape)
         if a.requires_grad:
-            a.accumulate(out.grad * factors)
+            a.accumulate((g * factors).reshape(a.shape))
         if v.requires_grad:
-            gv = _batch_sum(out.grad * a.data, n)
-            if prefix:
-                full = np.zeros_like(v.data)
-                full[0, :n] = gv
-                gv = full
+            gv = np.zeros_like(v.data)
+            # row r: its samples in order, each sample's positions in order
+            gv[:, :n] = np.swapaxes(g * grouped, 0, 1).reshape(k, -1, n).sum(axis=1)
             v.accumulate(gv)
 
-    return _make(a.data * factors, (a, v), "mul_rowvec", backward)
+    return _make((grouped * factors).reshape(a.shape), (a, v), "mul_rowvec", backward)
 
 
 def mul_colvec(a: Tensor, u: Tensor) -> Tensor:
@@ -413,6 +451,8 @@ def op_catalog() -> dict:
     return {
         "matmul": matmul,
         "transpose": transpose,
+        "split_heads": split_heads,
+        "merge_heads": merge_heads,
         "add": add,
         "subtract": subtract,
         "multiply": multiply,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -30,6 +30,7 @@ import numpy as np
 from .autodiff import NumericsError
 from .data import (
     FAULT_CLASSES,
+    FEATURES_FORMAT,
     SplitConfig,
     SynthConfig,
     _dump_json,
@@ -85,12 +86,26 @@ def _config_section(args, name: str) -> dict:
     return dict(section)
 
 
-def _merged(section: dict, allowed, **flag_overrides) -> dict:
-    unknown = sorted(set(section) - set(allowed))
+def _defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls)}
+
+
+def _merged(section: dict, defaults: dict, **flag_overrides) -> dict:
+    """Config-file values overridden by the flags that were given.
+
+    Every key must name a setting in ``defaults``, and every value must have
+    its default's type, except that an int is accepted for a float.  A bool
+    is never accepted for a number.
+    """
+    unknown = sorted(set(section) - set(defaults))
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
     out = dict(section)
     out.update({k: v for k, v in flag_overrides.items() if v is not None})
+    for key, value in out.items():
+        want = type(defaults[key])
+        if type(value) is not want and not (want is float and type(value) is int):
+            raise ValueError(f"config key {key!r} must be {want.__name__}, got {value!r}")
     return out
 
 
@@ -100,7 +115,7 @@ def _merged(section: dict, allowed, **flag_overrides) -> dict:
 def _cmd_synth(args) -> int:
     kwargs = _merged(
         _config_section(args, "synth"),
-        SynthConfig.__dataclass_fields__,
+        _defaults(SynthConfig),
         sample_rate_hz=args.fs,
         duration_s=args.duration,
         recordings_per_class=args.recordings,
@@ -191,6 +206,8 @@ def _save_features(outdir: Path, dataset) -> None:
 def _load_features(dirpath) -> tuple[dict, dict, Standardizer]:
     dirpath = Path(dirpath)
     manifest = json.loads((dirpath / "manifest.json").read_text())
+    if manifest.get("format") != FEATURES_FORMAT:
+        raise ValueError(f"unrecognized features format {manifest.get('format')!r}")
     splits = {}
     for which in _SPLITS:
         x = np.load(dirpath / f"X_{which}.npy")
@@ -205,7 +222,8 @@ def _load_features(dirpath) -> tuple[dict, dict, Standardizer]:
 def _cmd_featurize(args) -> int:
     kwargs = _merged(
         _config_section(args, "features"),
-        ("window_len", "stride", "ma_window", *SplitConfig.__dataclass_fields__),
+        {"window_len": WindowSpec.length, "stride": WindowSpec.stride,
+         "ma_window": MaConfig.window, **_defaults(SplitConfig)},
         window_len=args.window_len,
         stride=args.stride,
         ma_window=args.ma_window,
@@ -217,7 +235,7 @@ def _cmd_featurize(args) -> int:
         length=kwargs.pop("window_len", WindowSpec.length),
         stride=kwargs.pop("stride", WindowSpec.stride),
     )
-    ma = MaConfig(window=kwargs.pop("ma_window", 16))
+    ma = MaConfig(window=kwargs.pop("ma_window", MaConfig.window))
     split = SplitConfig(**kwargs)
     recordings = load_recordings(args.store)
     dataset = build_dataset(
@@ -245,7 +263,7 @@ def _cmd_train(args) -> int:
 
     model_kwargs = _merged(
         _config_section(args, "model"),
-        ModelConfig.__dataclass_fields__,
+        _defaults(ModelConfig),
         d_model=args.d_model,
         heads=args.heads,
         layers=args.layers,
@@ -259,7 +277,7 @@ def _cmd_train(args) -> int:
 
     train_kwargs = _merged(
         _config_section(args, "train"),
-        TrainConfig.__dataclass_fields__,
+        _defaults(TrainConfig),
         learning_rate=args.lr,
         batch_size=args.batch_size,
         max_epochs=args.epochs,

@@ -366,7 +366,7 @@ def build_dataset(
     three splits.
     """
     window = window or WindowSpec()
-    ma = ma or MaConfig(window=16)
+    ma = ma or MaConfig()
     split = split or SplitConfig()
     labels = class_labels_for(recordings)
     label_to_idx = {name: i for i, name in enumerate(labels)}

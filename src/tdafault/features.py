@@ -35,8 +35,6 @@ __all__ = [
 # Desk-scale default (synthetic runs); 48 kHz recordings use 2048/1024.
 DESK_WINDOW_LEN = 256
 DESK_WINDOW_STRIDE = 128
-FULLRATE_WINDOW_LEN = 2048
-FULLRATE_WINDOW_STRIDE = 1024
 
 _VAR_FLOOR = 1e-24
 
@@ -211,13 +209,12 @@ def featurize(decomp, spec: WindowSpec, ma: MaConfig | None = None, label: str |
     spec : WindowSpec
         Window length and stride.
     ma : MaConfig, optional
-        Hull-EMA configuration; defaults to a window of 16 with
-        window-derived alphas.
+        Hull-EMA configuration; defaults to ``MaConfig()``.
     label : str, optional
         Class identifier attached to the sequence (falls back to nothing).
     """
     if ma is None:
-        ma = MaConfig(window=16)
+        ma = MaConfig()
     count = spec.count(decomp.residual.size)
     # (count, length) views of the three components; nothing is copied here.
     res, tr, se = (

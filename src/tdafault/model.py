@@ -7,8 +7,10 @@ sources.  Every layer/head then attends with the biased two-branch rule from
 :mod:`tdafault.attention`, built out of the autodiff primitives so the whole
 model trains by reverse mode.
 
-Per-head temporal biases are raw vectors ``a`` of length ``t_max`` used as
-``alpha = exp(a)``, guaranteeing positivity; they start at zero so a fresh
+Each attention parameter is one whole matrix: head ``h`` owns column block
+``h`` of ``w_q``/``w_k``/``w_vt``/``w_vs``, row block ``h`` of ``w_o`` and row
+``h`` of the ``(heads, t_max)`` raw bias tables ``a``, used as
+``alpha = exp(a)`` for positivity.  The biases start at zero, so a fresh
 model is exactly equivalent to one running standard attention over the sum
 of the two value sources.
 """
@@ -16,6 +18,7 @@ of the two value sources.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import product
 
 import numpy as np
 
@@ -23,10 +26,12 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .features import CHANNEL_MAP
 
-__all__ = ["ModelConfig", "TdaLayerParams", "TdaEncoder"]
+__all__ = ["ModelConfig", "TdaEncoder"]
 
 ATTENTION_MODES = ("tda", "standard")
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# Format 1 stored attention tensors per head (``<name>.<h>``), joined along these axes.
+_V1_HEAD_AXIS = {"w_q": 1, "w_k": 1, "w_vt": 1, "w_vs": 1, "a_trend": 0, "a_season": 0, "w_o": 0}
 
 
 @dataclass(frozen=True)
@@ -64,32 +69,6 @@ class ModelConfig:
             raise ValueError(f"ffn_mult must be >= 1, got {self.ffn_mult}")
 
 
-@dataclass
-class TdaLayerParams:
-    """One encoder layer: per-head projections, temporal biases, FFN.
-
-    Projections are stored per head (``w_q[h]`` is d_model x d_k/heads and
-    ``w_o[h]`` is d_v/heads x d_model, the head's block of the output
-    projection); ``a_trend[h]`` / ``a_season[h]`` are the raw (1, t_max)
-    bias rows.
-    """
-
-    w_q: list
-    w_k: list
-    w_vt: list
-    w_vs: list
-    a_trend: list
-    a_season: list
-    w_o: list
-    ffn_w1: Tensor
-    ffn_b1: Tensor
-    ffn_w2: Tensor
-    ffn_b2: Tensor
-    heads: int = 2
-    dk_head: int = 8
-    dv_head: int = 8
-
-
 def sinusoidal_positions(t_max: int, d_model: int) -> np.ndarray:
     """Standard sin/cos positional table, (t_max, d_model)."""
     pos = np.arange(t_max, dtype=np.float64)[:, None]
@@ -101,9 +80,11 @@ def sinusoidal_positions(t_max: int, d_model: int) -> np.ndarray:
     return table
 
 
-def _param(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
+def _param(rng: np.random.Generator, fan_in: int, fan_out: int, blocks=1, axis=1) -> Tensor:
+    """Glorot-normal ``(fan_in, fan_out)`` blocks, drawn in turn and joined along ``axis``."""
     std = np.sqrt(2.0 / (fan_in + fan_out))
-    return Tensor(rng.normal(0.0, std, size=(fan_in, fan_out)), requires_grad=True)
+    draws = [rng.normal(0.0, std, size=(fan_in, fan_out)) for _ in range(blocks)]
+    return Tensor(np.concatenate(draws, axis=axis), requires_grad=True)
 
 
 def _zeros(*shape) -> Tensor:
@@ -120,34 +101,30 @@ class TdaEncoder:
         self.n_features = sum(widths.values())
 
         rng = np.random.default_rng(cfg.seed)
-        dk_head = cfg.d_k // cfg.heads
-        dv_head = cfg.d_v // cfg.heads
+        heads, dk_head, dv_head = cfg.heads, cfg.d_k // cfg.heads, cfg.d_v // cfg.heads
+        hidden = cfg.ffn_mult * cfg.d_model
 
-        self.embed = {
-            "residual": (_param(rng, widths["residual_feats"], cfg.d_model), _zeros(cfg.d_model)),
-            "trend": (_param(rng, widths["trend_feats"], cfg.d_model), _zeros(cfg.d_model)),
-            "seasonal": (_param(rng, widths["seasonal_feats"], cfg.d_model), _zeros(cfg.d_model)),
-        }
-        self.layers: list[TdaLayerParams] = []
-        for _ in range(cfg.layers):
-            self.layers.append(
-                TdaLayerParams(
-                    w_q=[_param(rng, cfg.d_model, dk_head) for _ in range(cfg.heads)],
-                    w_k=[_param(rng, cfg.d_model, dk_head) for _ in range(cfg.heads)],
-                    w_vt=[_param(rng, cfg.d_model, dv_head) for _ in range(cfg.heads)],
-                    w_vs=[_param(rng, cfg.d_model, dv_head) for _ in range(cfg.heads)],
-                    a_trend=[_zeros(1, cfg.t_max) for _ in range(cfg.heads)],
-                    a_season=[_zeros(1, cfg.t_max) for _ in range(cfg.heads)],
-                    w_o=[_param(rng, dv_head, cfg.d_model) for _ in range(cfg.heads)],
-                    ffn_w1=_param(rng, cfg.d_model, cfg.ffn_mult * cfg.d_model),
-                    ffn_b1=_zeros(cfg.ffn_mult * cfg.d_model),
-                    ffn_w2=_param(rng, cfg.ffn_mult * cfg.d_model, cfg.d_model),
-                    ffn_b2=_zeros(cfg.d_model),
-                    heads=cfg.heads,
-                    dk_head=dk_head,
-                    dv_head=dv_head,
-                )
-            )
+        # Parameter dicts are keyed by checkpoint name (a layer's without ``layers.<i>.``).
+        self.embed: dict[str, Tensor] = {}
+        for name in ("residual", "trend", "seasonal"):
+            self.embed[f"embed.{name}.w"] = _param(rng, widths[f"{name}_feats"], cfg.d_model)
+            self.embed[f"embed.{name}.b"] = _zeros(cfg.d_model)
+        self.layers: list[dict[str, Tensor]] = [
+            {
+                "attn.w_q": _param(rng, cfg.d_model, dk_head, heads),
+                "attn.w_k": _param(rng, cfg.d_model, dk_head, heads),
+                "attn.w_vt": _param(rng, cfg.d_model, dv_head, heads),
+                "attn.w_vs": _param(rng, cfg.d_model, dv_head, heads),
+                "attn.a_trend": _zeros(heads, cfg.t_max),
+                "attn.a_season": _zeros(heads, cfg.t_max),
+                "attn.w_o": _param(rng, dv_head, cfg.d_model, heads, axis=0),
+                "ffn.w1": _param(rng, cfg.d_model, hidden),
+                "ffn.b1": _zeros(hidden),
+                "ffn.w2": _param(rng, hidden, cfg.d_model),
+                "ffn.b2": _zeros(cfg.d_model),
+            }
+            for _ in range(cfg.layers)
+        ]
         self.head_w = _param(rng, cfg.d_model, cfg.n_classes)
         self.head_b = _zeros(cfg.n_classes)
         self.pe = sinusoidal_positions(cfg.t_max, cfg.d_model)
@@ -157,26 +134,10 @@ class TdaEncoder:
 
     def parameters(self) -> dict[str, Tensor]:
         """Named parameters in a stable order (drives the optimizer)."""
-        out: dict[str, Tensor] = {}
-        for name, (w, b) in self.embed.items():
-            out[f"embed.{name}.w"] = w
-            out[f"embed.{name}.b"] = b
+        out = dict(self.embed)
         for i, layer in enumerate(self.layers):
-            for h in range(layer.heads):
-                out[f"layers.{i}.attn.w_q.{h}"] = layer.w_q[h]
-                out[f"layers.{i}.attn.w_k.{h}"] = layer.w_k[h]
-                out[f"layers.{i}.attn.w_vt.{h}"] = layer.w_vt[h]
-                out[f"layers.{i}.attn.w_vs.{h}"] = layer.w_vs[h]
-                out[f"layers.{i}.attn.a_trend.{h}"] = layer.a_trend[h]
-                out[f"layers.{i}.attn.a_season.{h}"] = layer.a_season[h]
-                out[f"layers.{i}.attn.w_o.{h}"] = layer.w_o[h]
-            out[f"layers.{i}.ffn.w1"] = layer.ffn_w1
-            out[f"layers.{i}.ffn.b1"] = layer.ffn_b1
-            out[f"layers.{i}.ffn.w2"] = layer.ffn_w2
-            out[f"layers.{i}.ffn.b2"] = layer.ffn_b2
-        out["head.w"] = self.head_w
-        out["head.b"] = self.head_b
-        return out
+            out.update({f"layers.{i}.{name}": t for name, t in layer.items()})
+        return dict(out, **{"head.w": self.head_w, "head.b": self.head_b})
 
     def attention_parameters(self) -> dict[str, Tensor]:
         return {k: v for k, v in self.parameters().items() if ".attn." in k}
@@ -198,9 +159,9 @@ class TdaEncoder:
             )
         return batch
 
-    def _embed_channel(self, tokens: np.ndarray, name: str, key: str) -> Tensor:
-        lo, hi = self.channel_map[key]
-        w, b = self.embed[name]
+    def _embed_channel(self, tokens: np.ndarray, name: str) -> Tensor:
+        lo, hi = self.channel_map[f"{name}_feats"]
+        w, b = self.embed[f"embed.{name}.w"], self.embed[f"embed.{name}.b"]
         return ad.add_rowvec(ad.matmul(Tensor(tokens[..., lo:hi]), w), b)
 
     def dropout_masks(self, lengths) -> list[list[np.ndarray]]:
@@ -226,25 +187,27 @@ class TdaEncoder:
     def _dropout(t: Tensor, drop: list, site: int) -> Tensor:
         return ad.multiply(t, Tensor(drop[site])) if drop else t
 
-    def _attend(self, layer: TdaLayerParams, h: int, x: Tensor, x_tr: Tensor,
-                x_se: Tensor) -> Tensor:
-        q = ad.matmul(x, layer.w_q[h])
-        k = ad.matmul(x, layer.w_k[h])
-        v_trend = ad.matmul(x_tr, layer.w_vt[h])
-        v_season = ad.matmul(x_se, layer.w_vs[h])
+    def _attend(self, layer: dict, x: Tensor, x_tr: Tensor, x_se: Tensor) -> Tensor:
+        """One layer's attention, all heads in one pass as ``(B*heads, T, .)`` stacks."""
+        heads = self.cfg.heads
+        q, k, v_trend, v_season = (
+            ad.split_heads(ad.matmul(src, layer[f"attn.{name}"]), heads)
+            for src, name in ((x, "w_q"), (x, "w_k"), (x_tr, "w_vt"), (x_se, "w_vs"))
+        )
         scores = ad.matmul(q, ad.transpose(k))
-        inv_sqrt = 1.0 / np.sqrt(layer.dk_head)
+        inv_sqrt = 1.0 / np.sqrt(self.cfg.d_k // heads)
         if self.cfg.attention == "standard":
-            weights = ad.softmax_rows(ad.scale(scores, inv_sqrt))
-            return ad.matmul(weights, ad.add(v_trend, v_season))
-        out = None
-        for a_raw, values in ((layer.a_trend[h], v_trend), (layer.a_season[h], v_season)):
-            # exp(a)[:T] scales score column j, the key at position j
-            biased = ad.mul_rowvec(scores, ad.exp(a_raw))
-            weights = ad.softmax_rows(ad.scale(biased, inv_sqrt))
-            branch = ad.matmul(weights, values)
-            out = branch if out is None else ad.add(out, branch)
-        return out
+            out = ad.matmul(ad.softmax_rows(ad.scale(scores, inv_sqrt)), ad.add(v_trend, v_season))
+        else:
+            out = None
+            for a_raw, values in ((layer["attn.a_trend"], v_trend),
+                                  (layer["attn.a_season"], v_season)):
+                # exp(a)[h, :T] scales score column j, the key at position j
+                biased = ad.mul_rowvec(scores, ad.exp(a_raw))
+                weights = ad.softmax_rows(ad.scale(biased, inv_sqrt))
+                branch = ad.matmul(weights, values)
+                out = branch if out is None else ad.add(out, branch)
+        return ad.matmul(ad.merge_heads(out, heads), layer["attn.w_o"])
 
     def forward(self, tokens: np.ndarray, training: bool = False, masks=None) -> Tensor:
         """Run the encoder; returns the (B, n_classes) logits as a Tensor.
@@ -262,19 +225,16 @@ class TdaEncoder:
                 masks = self.dropout_masks([t_len] * n_batch)
             drop = [np.stack(site) for site in zip(*masks)]
 
-        x = self._embed_channel(tokens, "residual", "residual_feats")
+        x = self._embed_channel(tokens, "residual")
         x = ad.add(x, Tensor(np.broadcast_to(self.pe[:t_len], x.shape)))
-        x_tr = self._embed_channel(tokens, "trend", "trend_feats")
-        x_se = self._embed_channel(tokens, "seasonal", "seasonal_feats")
+        x_tr = self._embed_channel(tokens, "trend")
+        x_se = self._embed_channel(tokens, "seasonal")
 
         for i, layer in enumerate(self.layers):
-            attn = None
-            for h in range(layer.heads):
-                proj = ad.matmul(self._attend(layer, h, x, x_tr, x_se), layer.w_o[h])
-                attn = proj if attn is None else ad.add(attn, proj)
+            attn = self._attend(layer, x, x_tr, x_se)
             x = ad.layer_norm(ad.add(x, self._dropout(attn, drop, 2 * i)))
-            hidden = ad.gelu(ad.add_rowvec(ad.matmul(x, layer.ffn_w1), layer.ffn_b1))
-            ff = ad.add_rowvec(ad.matmul(hidden, layer.ffn_w2), layer.ffn_b2)
+            hidden = ad.gelu(ad.add_rowvec(ad.matmul(x, layer["ffn.w1"]), layer["ffn.b1"]))
+            ff = ad.add_rowvec(ad.matmul(hidden, layer["ffn.w2"]), layer["ffn.b2"])
             x = ad.layer_norm(ad.add(x, self._dropout(ff, drop, 2 * i + 1)))
 
         pooled = ad.mean_rows(x)
@@ -304,17 +264,25 @@ class TdaEncoder:
     @classmethod
     def from_dict(cls, d: dict) -> "TdaEncoder":
         version = d.get("format_version")
-        if version != CHECKPOINT_VERSION:
+        if version not in (1, CHECKPOINT_VERSION):
             raise ValueError(f"unsupported checkpoint format_version {version!r}")
-        config = d["config"]
-        if not isinstance(config, dict):
-            raise ValueError("checkpoint config must be a JSON object")
+        config, stored = d["config"], d["params"]
+        if not isinstance(config, dict) or not isinstance(stored, dict):
+            raise ValueError("checkpoint config and params must be JSON objects")
         unknown = sorted(set(config) - set(ModelConfig.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown checkpoint config keys: {unknown}")
         model = cls(ModelConfig(**config))
         params = model.parameters()
-        stored = d["params"]
+        if version == 1:  # join each layer's per-head tensors into whole matrices
+            stored = dict(stored)
+            for i, (name, axis) in product(range(model.cfg.layers), _V1_HEAD_AXIS.items()):
+                per_head = [f"layers.{i}.attn.{name}.{h}" for h in range(model.cfg.heads)]
+                absent = [key for key in per_head if key not in stored]
+                if absent:
+                    raise ValueError(f"checkpoint is missing parameters: {absent}")
+                stored[f"layers.{i}.attn.{name}"] = np.concatenate(
+                    [stored.pop(key) for key in per_head], axis=axis)
         missing = set(params) ^ set(stored)
         if missing:
             raise ValueError(f"checkpoint parameter names do not match model: {sorted(missing)}")
@@ -326,4 +294,3 @@ class TdaEncoder:
                 )
             tensor.data = arr
         return model
-

@@ -36,7 +36,8 @@ class MaConfig:
     Parameters
     ----------
     window : int
-        Base window length ``n`` in samples.
+        Base window length ``n`` in samples (default 16, the residual
+        smoother of the feature pipeline).
     ema_alpha : float or None
         Fixed smoothing factor in ``(0, 1]`` for every EMA stage, or ``None``
         to derive each stage's alpha from its window as ``2 / (w + 1)``.
@@ -44,7 +45,7 @@ class MaConfig:
         ``"hull_standard"`` (default) or ``"paper_literal"``.
     """
 
-    window: int
+    window: int = 16
     ema_alpha: float | None = None
     hull_mode: str = "hull_standard"
 

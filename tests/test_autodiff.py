@@ -1,5 +1,8 @@
 """Reverse-mode engine: every primitive against central differences."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -152,7 +155,7 @@ class TestPerOpGradients:
         self.check(lambda a: scalarize(ad.scale(a, -2.5)), a)
 
     def test_mul_rowvec(self):
-        a, v = rand_tensor((4, 6), 8), rand_tensor((6,), 9)
+        a, v = rand_tensor((4, 6), 8), rand_tensor((1, 6), 9)
         self.check(lambda a, v: scalarize(ad.mul_rowvec(a, v)), a, v)
 
     def test_mul_colvec(self):
@@ -216,12 +219,13 @@ class TestBatchedOps:
         v = rand_tensor((5,), 44)
         u = rand_tensor((4,), 45)
         row = rand_tensor((1, 7), 46)
+        exact_row = rand_tensor((1, 5), 47)
         self.check(lambda a, w: scalarize(ad.matmul(a, w)), a, w)
         self.check(lambda a, m: scalarize(ad.matmul(a, m)), a, per_sample)
         self.check(lambda a: scalarize(ad.transpose(a)), a)
         self.check(lambda a, b: scalarize(ad.multiply(ad.subtract(a, b), ad.add(a, b))), a, b)
         self.check(lambda a: scalarize(ad.scale(a, 0.7)), a)
-        self.check(lambda a, v: scalarize(ad.mul_rowvec(a, v)), a, v)
+        self.check(lambda a, v: scalarize(ad.mul_rowvec(a, v)), a, exact_row)
         self.check(lambda a, r: scalarize(ad.mul_rowvec(a, ad.exp(r))), a, row)
         self.check(lambda a, u: scalarize(ad.mul_colvec(a, u)), a, u)
         self.check(lambda a, v: scalarize(ad.add_rowvec(a, v)), a, v)
@@ -241,7 +245,7 @@ class TestBatchedOps:
             (lambda x: ad.matmul(x, Tensor(w)), False),
             (lambda x, y: ad.matmul(x, y), True),
             (ad.transpose, False),
-            (lambda x: ad.mul_rowvec(x, Tensor(v)), False),
+            (lambda x: ad.mul_rowvec(x, Tensor(v[None])), False),
             (lambda x: ad.mul_rowvec(x, Tensor(row)), False),
             (lambda x: ad.mul_colvec(x, Tensor(u)), False),
             (lambda x: ad.add_rowvec(x, Tensor(v)), False),
@@ -296,7 +300,9 @@ class TestBatchedOps:
         with pytest.raises(ValueError):
             ad.mul_rowvec(x, rand_tensor((1, 3), 4))  # positional row too short
         with pytest.raises(ValueError):
-            ad.mul_rowvec(x, rand_tensor((2, 4), 5))  # more than one row
+            ad.mul_rowvec(x, rand_tensor((3, 4), 5))  # 2 samples, not a multiple of 3 rows
+        with pytest.raises(ValueError):
+            ad.mul_rowvec(x, rand_tensor((4,), 5))  # a bare vector is not a table
         with pytest.raises(ValueError):
             ad.mul_colvec(x, rand_tensor((4,), 6))
         with pytest.raises(ValueError):
@@ -314,6 +320,63 @@ class TestBatchedOps:
             ad.cross_entropy_logits(logits, np.array([0.0, 1.0, 2.0]))
         with pytest.raises(ValueError):
             ad.cross_entropy_logits(x, np.array([0, 1]))  # logits must be 2-D
+
+
+class TestHeadFolding:
+    """split_heads / merge_heads, and mul_rowvec tables with one row per head."""
+
+    def check(self, build, *tensors, tol=1e-6):
+        err = grad_check(lambda: build(*tensors), tensors, h=1e-5)
+        assert err < tol, f"grad mismatch {err:.3e}"
+
+    def test_split_layout(self):
+        x = np.random.default_rng(70).normal(size=(2, 3, 6))
+        heads = ad.split_heads(Tensor(x), 3).data
+        assert heads.shape == (6, 3, 2)
+        for b in range(2):
+            for h in range(3):
+                np.testing.assert_array_equal(heads[b * 3 + h], x[b, :, 2 * h:2 * h + 2])
+
+    def test_round_trips_are_exact(self):
+        x = np.random.default_rng(71).normal(size=(2, 4, 6))
+        for heads in (1, 2, 3, 6):
+            split = ad.split_heads(Tensor(x), heads)
+            np.testing.assert_array_equal(ad.merge_heads(split, heads).data, x)
+            stacked = Tensor(split.data)
+            np.testing.assert_array_equal(
+                ad.split_heads(ad.merge_heads(stacked, heads), heads).data, split.data)
+
+    def test_gradients(self):
+        a = rand_tensor((2, 4, 6), 72)
+        s = rand_tensor((6, 4, 3), 73)
+        self.check(lambda a: scalarize(ad.split_heads(a, 2)), a)
+        self.check(lambda a: scalarize(ad.split_heads(a, 3)), a)
+        self.check(lambda s: scalarize(ad.merge_heads(s, 2)), s)
+        self.check(lambda s: scalarize(ad.merge_heads(s, 3)), s)
+
+    def test_two_row_table(self):
+        # k = 2: sample s takes the first n entries of row s % 2.
+        a = rand_tensor((4, 3, 5), 74)
+        table = rand_tensor((2, 7), 75)
+        self.check(lambda a, t: scalarize(ad.mul_rowvec(a, ad.exp(t))), a, table)
+        out = ad.mul_rowvec(a, table).data
+        for s in range(4):
+            row = Tensor(table.data[s % 2:s % 2 + 1])
+            np.testing.assert_array_equal(out[s], ad.mul_rowvec(Tensor(a.data[s]), row).data)
+        zero_grad([a, table])
+        scalarize(ad.mul_rowvec(a, table)).backward()
+        assert np.abs(table.grad[:, :5]).min() > 0
+        np.testing.assert_array_equal(table.grad[:, 5:], 0.0)
+
+    def test_shape_validation(self):
+        with pytest.raises(ValueError):
+            ad.split_heads(rand_tensor((2, 3, 5), 0), 2)  # width not divisible
+        with pytest.raises(ValueError):
+            ad.split_heads(rand_tensor((3, 4), 1), 2)  # needs a (B, T, d) batch
+        with pytest.raises(ValueError):
+            ad.merge_heads(rand_tensor((3, 4, 2), 2), 2)  # 3 samples, 2 heads
+        with pytest.raises(ValueError):
+            ad.split_heads(rand_tensor((2, 3, 4), 3), 0)
 
 
 class TestOpSemantics:
@@ -376,13 +439,24 @@ class TestGradCheckApi:
     def test_catalog_is_exactly_the_contract(self):
         assert sorted(op_catalog()) == sorted(
             [
-                "matmul", "transpose", "add", "subtract", "multiply", "scale",
+                "matmul", "transpose", "split_heads", "merge_heads",
+                "add", "subtract", "multiply", "scale",
                 "mul_rowvec", "mul_colvec", "add_rowvec", "softmax_rows",
                 "exp", "mean_rows", "layer_norm", "gelu", "cross_entropy_logits",
             ]
         )
         for name, fn in op_catalog().items():
             assert callable(fn), name
+
+    def test_benchmark_op_counters_are_in_the_catalog(self):
+        # The benchmark registers a call counter per catalog op; an op it
+        # names that leaves the catalog would break its traced run.
+        spec = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+        prefix, suffix = "autodiff.op.", ".calls"
+        named = [m["name"][len(prefix):-len(suffix)] for m in spec["per_layer"]
+                 if m["name"].startswith(prefix) and m["name"].endswith(suffix)]
+        assert named
+        assert sorted(set(named) - set(op_catalog())) == []
 
     def test_step_size_range_enforced(self):
         x = rand_tensor((1, 2), 0)

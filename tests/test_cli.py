@@ -214,6 +214,32 @@ class TestExitCodes:
         assert err.startswith("tdafault: ") and err.count("\n") == 1, err
         assert "colour" in err
 
+    def test_unknown_features_format_is_data_error(self, chain, tmp_path, capsys):
+        feats = tmp_path / "feats"
+        shutil.copytree(chain["feats"], feats)
+        manifest = json.loads((feats / "manifest.json").read_text())
+        manifest["format"] = "something-else"
+        (feats / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["train", "--features", str(feats), "--out", str(tmp_path / "m"),
+                     "--epochs", "1"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("tdafault: ") and err.count("\n") == 1, err
+        assert "something-else" in err
+
+    def test_format_1_checkpoint_missing_a_head_is_data_error(self, chain, tmp_path, capsys):
+        fixture = Path(__file__).parent / "fixtures" / "checkpoint_v1.json"
+        checkpoint = json.loads(fixture.read_text())["checkpoint"]
+        del checkpoint["params"]["layers.0.attn.w_k.1"]
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(checkpoint))
+        code = main(["eval", "--features", str(chain["feats"]), "--checkpoint", str(path),
+                     "--out", str(tmp_path / "r")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("tdafault: ") and err.count("\n") == 1, err
+        assert "layers.0.attn.w_k.1" in err
+
     def test_invalid_featurize_flag_is_data_error(self, chain, tmp_path, capsys):
         code = main(["featurize", "--store", str(chain["store"]),
                      "--out", str(tmp_path / "f"), "--window-len", "0"])
@@ -288,6 +314,35 @@ class TestConfigFile:
         assert manifest["ma"]["window"] == 8
         assert manifest["split"] == {"segment_len": 8, "train_fraction": 0.6,
                                      "val_fraction": 0.2}
+
+    @pytest.mark.parametrize("verb, section", [
+        ("synth", {"synth": {"duration_s": "2"}}),
+        ("featurize", {"features": {"window_len": "64"}}),
+        ("train", {"train": {"batch_size": 2.5}}),
+        ("train", {"model": {"heads": True}}),
+        ("synth", {"synth": {"noise_sigma": False}}),
+    ])
+    def test_config_value_of_wrong_type_is_data_error(self, chain, tmp_path, capsys,
+                                                      verb, section):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(section))
+        source = {"synth": [], "featurize": ["--store", str(chain["store"])],
+                  "train": ["--features", str(chain["feats"])]}[verb]
+        code = main([verb, "--config", str(cfg), *source, "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("tdafault: ") and err.count("\n") == 1, err
+        (key,) = next(iter(section.values()))
+        assert repr(key) in err
+
+    def test_int_config_value_stands_for_a_float(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"duration_s": 1, "sample_rate_hz": 1024,
+                                             "recordings_per_class": 1}}))
+        store = tmp_path / "store"
+        assert main(["synth", "--config", str(cfg), "--out", str(store)]) == EXIT_OK
+        manifest = json.loads((store / "manifest.json").read_text())
+        assert all(e["n_samples"] == 1024 for e in manifest["recordings"])
 
     def test_non_object_config_is_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,7 +1,9 @@
 """Encoder classifier: equivalences, checkpointing, and graph gradients."""
 
 import gc
+import json
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,14 @@ from tdafault.autodiff import grad_check
 from tdafault.model import ModelConfig, TdaEncoder, sinusoidal_positions
 
 TINY = dict(d_model=8, d_k=4, d_v=4, heads=2, layers=1, n_classes=3, t_max=6, dropout_rate=0.0)
+
+# A format-1 checkpoint (per-head tensors named ``<name>.<h>``) written by the
+# format-1 writer, with three token sequences and the logits that writer's
+# model gave them.  Its model is the fresh seed-3 model of its config with the
+# bias rows then set to random values, so every other tensor is the fresh one.
+V1_FIXTURE = Path(__file__).parent / "fixtures" / "checkpoint_v1.json"
+# The axis along which format 1's per-head tensors join into whole matrices.
+V1_AXES = {"w_q": 1, "w_k": 1, "w_vt": 1, "w_vs": 1, "a_trend": 0, "a_season": 0, "w_o": 0}
 
 
 def tokens_for(t_len, seed=0, scale=1.0):
@@ -162,11 +172,15 @@ class TestParameters:
     def test_catalogued_names_and_count(self):
         model = TdaEncoder(ModelConfig(**TINY, seed=0))
         params = model.parameters()
-        # 3 embeds (w+b) + per layer: 2 heads * 7 attn tensors + 4 ffn + head w/b
-        assert len(params) == 6 + 1 * (2 * 7 + 4) + 2
+        # 3 embeds (w+b) + per layer: 7 whole attn matrices + 4 ffn + head w/b
+        assert len(params) == 6 + 1 * (7 + 4) + 2
         assert "embed.residual.w" in params
-        assert "layers.0.attn.a_trend.1" in params
         assert "head.b" in params
+        d, dk, dv, t_max = TINY["d_model"], TINY["d_k"], TINY["d_v"], TINY["t_max"]
+        shapes = {"w_q": (d, dk), "w_k": (d, dk), "w_vt": (d, dv), "w_vs": (d, dv),
+                  "w_o": (dv, d), "a_trend": (2, t_max), "a_season": (2, t_max)}
+        for name, shape in shapes.items():
+            assert params[f"layers.0.attn.{name}"].shape == shape, name
         for name, tensor in params.items():
             assert tensor.requires_grad, name
 
@@ -179,8 +193,8 @@ class TestParameters:
     def test_bias_rows_start_at_zero(self):
         model = TdaEncoder(ModelConfig(**TINY, seed=0))
         for layer in model.layers:
-            for a in layer.a_trend + layer.a_season:
-                assert a.shape == (1, TINY["t_max"])
+            for a in (layer["attn.a_trend"], layer["attn.a_season"]):
+                assert a.shape == (TINY["heads"], TINY["t_max"])
                 np.testing.assert_array_equal(a.data, 0.0)
 
 
@@ -208,10 +222,60 @@ class TestCheckpoint:
         missing = dict(d, params={k: v for k, v in d["params"].items() if k != "head.b"})
         with pytest.raises(ValueError):
             TdaEncoder.from_dict(missing)
+        with pytest.raises(ValueError):
+            TdaEncoder.from_dict(dict(d, params=[1.0, 2.0]))
+
+    def test_writes_format_2_whole_matrices(self):
+        d = TdaEncoder(ModelConfig(**TINY, seed=2)).to_dict()
+        assert d["format_version"] == 2
+        assert np.shape(d["params"]["layers.0.attn.w_q"]) == (TINY["d_model"], TINY["d_k"])
+        assert np.shape(d["params"]["layers.0.attn.a_season"]) == (TINY["heads"], TINY["t_max"])
+        assert not any(name.split(".")[-1].isdigit() for name in d["params"])
+
+    def test_reads_format_1(self):
+        fixture = json.loads(V1_FIXTURE.read_text())
+        assert fixture["checkpoint"]["format_version"] == 1
+        model = TdaEncoder.from_dict(fixture["checkpoint"])
+        for tokens, want in zip(np.array(fixture["tokens"]), np.array(fixture["logits"])):
+            got = model.logits(tokens)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            assert np.argmax(got) == np.argmax(want)
+        clone = TdaEncoder.from_dict(json.loads(json.dumps(model.to_dict())))
+        for name, tensor in model.parameters().items():
+            assert np.array_equal(tensor.data, clone.parameters()[name].data), name
+
+    def test_fresh_model_equals_format_1_blocks(self):
+        # Drawing each whole matrix head block by head block keeps the
+        # random stream of per-head storage: a fresh model is the same model.
+        checkpoint = json.loads(V1_FIXTURE.read_text())["checkpoint"]
+        model = TdaEncoder(ModelConfig(**checkpoint["config"]))
+        params, stored = model.parameters(), checkpoint["params"]
+        cfg = model.cfg
+        for name, tensor in params.items():
+            role = name.split(".")[-1]
+            if ".attn." not in name:
+                assert np.array_equal(tensor.data, stored[name]), name
+                continue
+            for h, block in enumerate(np.split(tensor.data, cfg.heads, axis=V1_AXES[role])):
+                if role.startswith("a_"):
+                    np.testing.assert_array_equal(block, 0.0)  # the fixture's were set
+                    assert np.shape(stored[f"{name}.{h}"]) == block.shape
+                else:
+                    assert np.array_equal(block, stored[f"{name}.{h}"]), (name, h)
+
+    @pytest.mark.parametrize("edit", ["missing", "extra", "version"])
+    def test_rejects_bad_format_1(self, edit):
+        checkpoint = json.loads(V1_FIXTURE.read_text())["checkpoint"]
+        if edit == "missing":
+            del checkpoint["params"]["layers.1.attn.w_o.0"]
+        elif edit == "extra":
+            checkpoint["params"]["layers.0.attn.w_q.2"] = checkpoint["params"]["layers.0.attn.w_q.1"]
+        else:
+            checkpoint["format_version"] = 3
+        with pytest.raises(ValueError):
+            TdaEncoder.from_dict(checkpoint)
 
     def test_json_serializable(self):
-        import json
-
         model = TdaEncoder(ModelConfig(**TINY, seed=1))
         blob = json.dumps(model.to_dict(), sort_keys=True)
         clone = TdaEncoder.from_dict(json.loads(blob))
@@ -233,14 +297,15 @@ class TestModelGradients:
         loss = model.loss(tokens_for(6, seed=6, scale=2.0), 0)
         loss.backward()
         flowing = [
-            layer.a_trend[h].grad is not None and np.abs(layer.a_trend[h].grad).max() > 0
+            layer["attn.a_trend"].grad is not None
+            and np.abs(layer["attn.a_trend"].grad[h]).max() > 0
             for layer in model.layers
             for h in range(2)
         ]
         assert all(flowing)
         # positions beyond the sequence length get zero gradient
-        g = model.layers[0].a_trend[0].grad
-        np.testing.assert_array_equal(g[0, 6:], 0.0)
+        g = model.layers[0]["attn.a_trend"].grad
+        np.testing.assert_array_equal(g[:, 6:], 0.0)
 
 
 class TestGraphLifetime:
