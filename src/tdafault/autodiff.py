@@ -26,7 +26,6 @@ import itertools
 import weakref
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Tensor",
@@ -403,6 +402,9 @@ def layer_norm(a: Tensor, eps: float = _LN_EPS) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) Gaussian error linear unit."""
+    # Imported here to keep scipy.special off the cold start of every verb.
+    from scipy.special import erf
+
     cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
     y = a.data * cdf
 

@@ -34,6 +34,7 @@ from .data import (
     SplitConfig,
     SynthConfig,
     _dump_json,
+    _load_json_object,
     build_dataset,
     gen_synthetic,
     load_recording_csv,
@@ -77,9 +78,7 @@ def _stamp(args) -> str | None:
 def _config_section(args, name: str) -> dict:
     if not args.config:
         return {}
-    cfg = json.loads(Path(args.config).read_text())
-    if not isinstance(cfg, dict):
-        raise ValueError(f"config file {args.config} must hold a JSON object")
+    cfg = _load_json_object(args.config, "config file")
     section = cfg.get(name, {})
     if not isinstance(section, dict):
         raise ValueError(f"config section {name!r} must be a JSON object")
@@ -205,7 +204,7 @@ def _save_features(outdir: Path, dataset) -> None:
 
 def _load_features(dirpath) -> tuple[dict, dict, Standardizer]:
     dirpath = Path(dirpath)
-    manifest = json.loads((dirpath / "manifest.json").read_text())
+    manifest = _load_json_object(dirpath / "manifest.json", "features manifest")
     if manifest.get("format") != FEATURES_FORMAT:
         raise ValueError(f"unrecognized features format {manifest.get('format')!r}")
     splits = {}
@@ -214,7 +213,7 @@ def _load_features(dirpath) -> tuple[dict, dict, Standardizer]:
         y = np.load(dirpath / f"y_{which}.npy")
         splits[which] = [(x[i], int(y[i])) for i in range(x.shape[0])]
     standardizer = Standardizer.from_dict(
-        json.loads((dirpath / "standardizer.json").read_text())
+        _load_json_object(dirpath / "standardizer.json", "standardizer")
     )
     return manifest, splits, standardizer
 
@@ -312,7 +311,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     manifest, splits, _ = _load_features(args.features)
-    checkpoint = json.loads(Path(args.checkpoint).read_text())
+    checkpoint = _load_json_object(args.checkpoint, "checkpoint")
     model = TdaEncoder.from_dict(checkpoint)
     labels = checkpoint.get("labels") or manifest["labels"]
     report, mean_loss = evaluate(model, splits[args.split], labels)
@@ -337,7 +336,7 @@ def _report_from_dict(payload: dict) -> EvalReport:
 
 
 def _cmd_report(args) -> int:
-    payload = json.loads(Path(args.input).read_text())
+    payload = _load_json_object(args.input, "report")
     report = _report_from_dict(payload)
     lines = [report.to_text()]
     if "split" in payload:
@@ -345,7 +344,7 @@ def _cmd_report(args) -> int:
     if "mean_loss" in payload:
         lines.append(f"mean loss: {payload['mean_loss']:.6f}")
     if args.history:
-        history = json.loads(Path(args.history).read_text())
+        history = _load_json_object(args.history, "history")
         lines.append(
             f"training: {history['epochs_run']} epochs, "
             f"best epoch {history['best_epoch']} "

@@ -190,6 +190,18 @@ def _dump_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _load_json_object(path, what: str) -> dict:
+    """Parse a JSON file whose top level must be an object.
+
+    Anything else (a list, a number, a string) raises ``ValueError`` naming
+    ``what`` and the path, so callers can index the result as a dict.
+    """
+    obj = json.loads(Path(path).read_text())
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} {path} must hold a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 def save_recordings(
     dirpath, recordings, *, meta: dict | None = None, created: str | None = None
 ) -> dict:
@@ -232,7 +244,7 @@ def load_recordings(dirpath) -> list[TimeSeries]:
     ``n_samples``; anything else raises ``ValueError`` naming the key.
     """
     dirpath = Path(dirpath)
-    manifest = json.loads((dirpath / "manifest.json").read_text())
+    manifest = _load_json_object(dirpath / "manifest.json", "store manifest")
     if manifest.get("format") != STORE_FORMAT:
         raise ValueError(f"unrecognized store format {manifest.get('format')!r}")
     out = []

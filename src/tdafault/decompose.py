@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 __all__ = ["TimeSeries", "Decomposition", "decompose_additive", "estimate_period"]
 
@@ -156,6 +155,10 @@ def estimate_period(x: TimeSeries, hint_hz: float | None = None) -> int:
     energy = float(np.dot(centred, centred))
     if energy == 0.0:
         return 2
+    # Imported after the early returns so that a hinted run never loads
+    # scipy.fft, which costs about 0.3 s of cold start.
+    from scipy.fft import irfft, next_fast_len, rfft
+
     # Padding to n + max_lag keeps the circular wrap-around off lags <= max_lag.
     nfft = next_fast_len(n + max_lag, real=True)
     spectrum = rfft(centred, nfft)

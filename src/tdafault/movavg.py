@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 __all__ = ["MaConfig", "FilteredSeries", "wma", "ema", "hma", "hema"]
 
@@ -138,6 +137,10 @@ def ema(x, alpha: float) -> FilteredSeries:
     arr = _as_series(x, max_ndim=2)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    # Imported here, not at module level: scipy.signal costs about 0.9 s of
+    # cold start, and only the verbs that smooth need it.
+    from scipy.signal import lfilter
+
     # IIR recursion y[t] = alpha*x[t] + (1-alpha)*y[t-1] with y[0] = x[0].
     zi = (1.0 - alpha) * arr[..., :1]
     out = lfilter([alpha], [1.0, -(1.0 - alpha)], arr, axis=-1, zi=zi)[0]

@@ -240,6 +240,38 @@ class TestExitCodes:
         assert err.startswith("tdafault: ") and err.count("\n") == 1, err
         assert "layers.0.attn.w_k.1" in err
 
+    @pytest.mark.parametrize("verb, target", [
+        ("featurize", "store/manifest.json"),
+        ("train", "feats/manifest.json"),
+        ("train", "feats/standardizer.json"),
+        ("eval", "checkpoint.json"),
+        ("report", "report.json"),
+        ("report", "history.json"),
+    ])
+    def test_json_file_that_is_not_an_object_is_data_error(self, chain, tmp_path, capsys,
+                                                          verb, target):
+        shutil.copytree(chain["store"], tmp_path / "store")
+        shutil.copytree(chain["feats"], tmp_path / "feats")
+        for name, src in [("checkpoint.json", chain["model"] / "checkpoint.json"),
+                          ("report.json", chain["report"] / "report.json"),
+                          ("history.json", chain["model"] / "history.json")]:
+            shutil.copy(src, tmp_path / name)
+        (tmp_path / target).write_text("[1, 2]")
+        out = ["--out", str(tmp_path / "o")]
+        args = {
+            "featurize": ["--store", str(tmp_path / "store"), *out],
+            "train": ["--features", str(tmp_path / "feats"), *out],
+            "eval": ["--features", str(tmp_path / "feats"),
+                     "--checkpoint", str(tmp_path / "checkpoint.json"), *out],
+            "report": ["--input", str(tmp_path / "report.json"),
+                       "--history", str(tmp_path / "history.json")],
+        }[verb]
+        code = main([verb, *args])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("tdafault: ") and err.count("\n") == 1, err
+        assert "must hold a JSON object" in err and target.split("/")[-1] in err
+
     def test_invalid_featurize_flag_is_data_error(self, chain, tmp_path, capsys):
         code = main(["featurize", "--store", str(chain["store"]),
                      "--out", str(tmp_path / "f"), "--window-len", "0"])
@@ -349,6 +381,28 @@ class TestConfigFile:
         cfg.write_text("[1, 2, 3]")
         code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s")])
         assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("tdafault: ") and err.count("\n") == 1, err
+        assert "must hold a JSON object" in err
+
+
+def _checkout_env():
+    """Environment whose PYTHONPATH puts this checkout's ``src`` first."""
+    src = Path(tdafault.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_loads_no_scipy():
+    # Every verb pays this import at start-up; scipy submodules are imported
+    # inside the functions that call them, so the import itself loads none.
+    env = _checkout_env()
+    code = ("import sys, tdafault.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]", proc.stdout
 
 
 def _declared_scripts(pyproject: Path) -> dict:
@@ -379,12 +433,9 @@ def _entry_point():
     script = shutil.which("tdafault")
     if script is not None:
         return [script], None
-    src = Path(tdafault.__file__).resolve().parents[1]
-    assert _declared_scripts(src.parent / "pyproject.toml") == {
-        "tdafault": "tdafault.cli:main"}
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    return [sys.executable, "-m", "tdafault"], env
+    root = Path(tdafault.__file__).resolve().parents[2]
+    assert _declared_scripts(root / "pyproject.toml") == {"tdafault": "tdafault.cli:main"}
+    return [sys.executable, "-m", "tdafault"], _checkout_env()
 
 
 def test_console_entry_point(tmp_path):
