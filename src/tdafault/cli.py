@@ -166,7 +166,10 @@ def _cmd_decompose(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     entries = []
     for i, ts in enumerate(recordings):
-        period = args.period or estimate_period(ts, args.period_hint_hz)
+        if args.period is not None:
+            period = args.period
+        else:
+            period = estimate_period(ts, args.period_hint_hz)
         decomp = decompose_additive(ts, period)
         key = f"rec_{i:05d}"
         for part in ("trend", "seasonal", "residual"):

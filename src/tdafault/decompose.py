@@ -61,12 +61,22 @@ class Decomposition:
         return self.trend + self.seasonal + self.residual
 
 
+# Longest kernel the trend filter convolves directly.  Direct convolution
+# costs O(n*P) and overlap-add O(n log P); at 96k and 480k samples direct
+# leads up to about 257 taps and overlap-add from about 301, while at 3 taps
+# overlap-add is about 50x slower.  Kernels always have an odd number of
+# taps, so 255 is the last direct one.
+_DIRECT_MAX_TAPS = 255
+
+
 def _centered_trend(x: np.ndarray, period: int) -> tuple[np.ndarray, int]:
     """Centered moving average of one period; returns (trend, half-width).
 
     Even periods use the standard 2xP average (half weights on the two
     endpoints) so the window stays centered; both variants weight every
-    phase of the cycle equally.
+    phase of the cycle equally.  Kernels longer than ``_DIRECT_MAX_TAPS``
+    are applied by overlap-add FFT convolution, which agrees with the direct
+    sum to within about 1e-15 of max|x|.
     """
     if period % 2 == 0:
         kernel = np.full(period + 1, 1.0 / period)
@@ -75,7 +85,14 @@ def _centered_trend(x: np.ndarray, period: int) -> tuple[np.ndarray, int]:
     else:
         kernel = np.full(period, 1.0 / period)
         half = (period - 1) // 2
-    trend_core = np.convolve(x, kernel, mode="valid")
+    if kernel.size <= _DIRECT_MAX_TAPS:
+        trend_core = np.convolve(x, kernel, mode="valid")
+    else:
+        # Imported here so that short periods never load scipy.signal,
+        # which costs about 1 s of cold start.
+        from scipy.signal import oaconvolve
+
+        trend_core = oaconvolve(x, kernel, mode="valid")
     trend = np.empty_like(x)
     trend[half:x.size - half] = trend_core
     trend[:half] = trend_core[0]
@@ -112,14 +129,14 @@ def decompose_additive(x: TimeSeries, period: int) -> Decomposition:
     start, stop = half, n - half
 
     detrended = samples - trend
-    phases = np.arange(start, stop) % period
-    phase_means = np.zeros(period)
-    np.add.at(phase_means, phases, detrended[start:stop])
+    phases = np.tile(np.arange(period), -(-stop // period))[start:stop]
+    # bincount adds the weights in index order, as np.add.at would.
+    phase_means = np.bincount(phases, weights=detrended[start:stop], minlength=period)
     phase_means /= np.bincount(phases, minlength=period)
     phase_means -= phase_means.mean()
 
-    seasonal = phase_means[np.arange(n) % period]
-    residual = samples - trend - seasonal
+    seasonal = np.tile(phase_means, -(-n // period))[:n]
+    residual = detrended - seasonal
     return Decomposition(trend, seasonal, residual, period, (start, stop))
 
 
@@ -137,6 +154,8 @@ def estimate_period(x: TimeSeries, hint_hz: float | None = None) -> int:
     if n < 16:
         raise ValueError(f"need at least 16 samples to estimate a period, got {n}")
     if hint_hz is not None:
+        if not np.isfinite(hint_hz):
+            raise ValueError(f"hint_hz must be finite, got {hint_hz}")
         if hint_hz >= x.sample_rate_hz / 2:
             raise ValueError(
                 f"hint {hint_hz} Hz implies a period under 2 samples at "
@@ -144,7 +163,12 @@ def estimate_period(x: TimeSeries, hint_hz: float | None = None) -> int:
             )
         if hint_hz <= 0:
             raise ValueError(f"hint_hz must be positive, got {hint_hz}")
-        return round(x.sample_rate_hz / hint_hz)
+        period = x.sample_rate_hz / hint_hz
+        if not np.isfinite(period):
+            raise ValueError(
+                f"hint_hz {hint_hz} implies an infinite period at {x.sample_rate_hz} Hz"
+            )
+        return round(period)
 
     centred = x.samples - x.samples.mean()
     max_lag = n // 4

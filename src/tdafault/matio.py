@@ -55,6 +55,9 @@ _MX_CLASSES = {
 _DTYPE_TO_MX = {np.dtype(d.str.lstrip("<")): code for code, (_, d, _) in _MX_CLASSES.items()}
 
 _FLAG_COMPLEX = 0x0800
+# Compressed input that holds a compressed element's 8-byte tag, unless the
+# stream is unusual: a dynamic Huffman block header takes at most ~600 bytes.
+_TAG_PREFIX = 1024
 
 
 class MatFormatError(ValueError):
@@ -159,7 +162,7 @@ def _parse_matrix(payload: bytes, base: int) -> MatArray | None:
     name_type, name_bytes = _read_tag(r, "array name")
     if name_type != MI_INT8:
         raise MatFormatError(f"array name subelement has type {name_type}", name_offset)
-    name = name_bytes.decode("ascii", errors="replace")
+    name = str(name_bytes, "ascii", errors="replace")
 
     if class_code not in _MX_CLASSES:
         logger.warning("skipping variable %r: unsupported class code %d", name, class_code)
@@ -181,6 +184,43 @@ def _parse_matrix(payload: bytes, base: int) -> MatArray | None:
     return MatArray(name=name, data=data, matlab_class=class_name)
 
 
+def _inflate(payload: bytes, offset: int) -> bytes:
+    """Decompress one compressed element's payload: the one element it holds.
+
+    The inner tag is inflated first and the size it declares, plus padding,
+    caps the output, so a payload that expands past its declared element
+    raises instead of filling memory.
+    """
+    try:
+        # The tag is inflated from a prefix, so that the rest of a large
+        # payload is not copied for it; a stream whose first 8 output bytes
+        # lie deeper (behind a run of empty blocks, say) is read whole.
+        tag = zlib.decompressobj().decompress(payload[:_TAG_PREFIX], 8)
+        if len(tag) < 8 and len(payload) > _TAG_PREFIX:
+            tag = zlib.decompressobj().decompress(payload, 8)
+        size = 8
+        if len(tag) == 8:
+            first, nbytes = struct.unpack("<II", tag)
+            # A small element (size in the upper half of its first word) is
+            # its 8-byte tag alone.
+            if not first >> 16:
+                size += nbytes + (-nbytes) % 8
+        d = zlib.decompressobj()
+        inner = d.decompress(payload, size)
+        beyond = d.decompress(d.unconsumed_tail, 1)
+    except zlib.error as exc:
+        raise MatFormatError(f"compressed element is corrupt: {exc}", offset) from exc
+    if beyond:
+        raise MatFormatError(
+            f"compressed element expands past the {size} bytes its tag declares", offset
+        )
+    if not d.eof:
+        raise MatFormatError(
+            "compressed element is corrupt: incomplete or truncated stream", offset
+        )
+    return inner
+
+
 def parse_mat(buf: bytes) -> dict[str, MatArray]:
     """Decode a MAT 5 byte string into a name -> :class:`MatArray` mapping."""
     if len(buf) < HEADER_BYTES:
@@ -194,7 +234,9 @@ def parse_mat(buf: bytes) -> dict[str, MatArray]:
         raise MatFormatError(f"unsupported MAT version 0x{version:04x}", 124)
 
     out: dict[str, MatArray] = {}
-    r = _Reader(buf[HEADER_BYTES:], HEADER_BYTES)
+    # Views, not copies: each payload is sliced out of the file (or out of
+    # its inflated element) without copying, down to np.frombuffer.
+    r = _Reader(memoryview(buf)[HEADER_BYTES:], HEADER_BYTES)
 
     def add(arr: MatArray | None) -> None:
         if arr is not None:
@@ -206,21 +248,15 @@ def parse_mat(buf: bytes) -> dict[str, MatArray]:
         if mtype == MI_MATRIX:
             add(_parse_matrix(payload, elem_offset + 8))
         elif mtype == MI_COMPRESSED:
-            try:
-                inner = zlib.decompress(payload)
-            except zlib.error as exc:
-                raise MatFormatError(f"compressed element is corrupt: {exc}", elem_offset) from exc
-            sub = _Reader(inner, elem_offset)
-            while sub.remaining():
-                sub_offset = sub.offset
-                sub_type, sub_payload = _read_tag(sub, "compressed element")
-                if sub_type == MI_MATRIX:
-                    add(_parse_matrix(sub_payload, sub_offset + 8))
-                else:
-                    logger.warning(
-                        "skipping compressed element of type %d at offset %d",
-                        sub_type, sub_offset,
-                    )
+            sub = _Reader(memoryview(_inflate(payload, elem_offset)), elem_offset)
+            sub_type, sub_payload = _read_tag(sub, "compressed element")
+            if sub_type == MI_MATRIX:
+                add(_parse_matrix(sub_payload, elem_offset + 8))
+            else:
+                logger.warning(
+                    "skipping compressed element of type %d at offset %d",
+                    sub_type, elem_offset,
+                )
         else:
             logger.warning("skipping element of type %d at offset %d", mtype, elem_offset)
     return out

@@ -272,6 +272,26 @@ class TestExitCodes:
         assert err.startswith("tdafault: ") and err.count("\n") == 1, err
         assert "must hold a JSON object" in err and target.split("/")[-1] in err
 
+    @pytest.mark.parametrize("period", ["0", "1"])
+    def test_decompose_period_below_two_is_data_error(self, chain, tmp_path, capsys, period):
+        code = main(["decompose", "--store", str(chain["store"]),
+                     "--out", str(tmp_path / "d"), "--period", period])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("tdafault: ") and err.count("\n") == 1, err
+        assert "period must be >= 2" in err
+
+    @pytest.mark.parametrize("verb", ["featurize", "decompose"])
+    @pytest.mark.parametrize("hint", ["nan", "inf", "-inf", "1e-320"])
+    def test_period_hint_without_a_finite_period_is_data_error(self, chain, tmp_path, capsys,
+                                                               verb, hint):
+        code = main([verb, "--store", str(chain["store"]), "--out", str(tmp_path / "o"),
+                     f"--period-hint-hz={hint}"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("tdafault: ") and err.count("\n") == 1, err
+        assert "hint_hz" in err
+
     def test_invalid_featurize_flag_is_data_error(self, chain, tmp_path, capsys):
         code = main(["featurize", "--store", str(chain["store"]),
                      "--out", str(tmp_path / "f"), "--window-len", "0"])
@@ -403,6 +423,20 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout.strip() == "[]", proc.stdout
+
+
+@pytest.mark.parametrize("period, loads", [(69, False), (300, True)])
+def test_decompose_period_loads_scipy_signal_only_for_long_kernels(chain, tmp_path,
+                                                                  period, loads):
+    # A kernel of period + 1 taps past the direct-convolution limit is the
+    # only thing in `decompose --period` that needs scipy.
+    code = ("import sys; from tdafault.cli import main; "
+            f"main(['decompose', '--store', sys.argv[1], '--out', sys.argv[2], "
+            f"'--period', '{period}']); "
+            "print('scipy.signal' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(chain["store"]), str(tmp_path)],
+                          capture_output=True, text=True, env=_checkout_env(), check=True)
+    assert proc.stdout.splitlines()[-1] == str(loads), proc.stdout
 
 
 def _declared_scripts(pyproject: Path) -> dict:

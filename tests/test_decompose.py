@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tdafault.data import SynthConfig, gen_synthetic
 from tdafault.decompose import (
+    _DIRECT_MAX_TAPS,
     Decomposition,
     TimeSeries,
     decompose_additive,
@@ -167,6 +168,100 @@ class TestDecomposeAdditive:
             decompose_additive(make_series(np.ones(10)), 6)  # n < 2 * period
 
 
+def direct_decompose(x, period):
+    """The O(n*P) formulas: direct convolution, ``np.add.at``, ``arange % period``."""
+    n = x.size
+    if period % 2 == 0:
+        kernel = np.full(period + 1, 1.0 / period)
+        kernel[0] = kernel[-1] = 0.5 / period
+        half = period // 2
+    else:
+        kernel = np.full(period, 1.0 / period)
+        half = (period - 1) // 2
+    core = np.convolve(x, kernel, mode="valid")
+    trend = np.empty_like(x)
+    trend[half:n - half] = core
+    trend[:half] = core[0]
+    trend[n - half:] = core[-1]
+    detrended = x - trend
+    phases = np.arange(half, n - half) % period
+    phase_means = np.zeros(period)
+    np.add.at(phase_means, phases, detrended[half:n - half])
+    phase_means /= np.bincount(phases, minlength=period)
+    phase_means -= phase_means.mean()
+    seasonal = phase_means[np.arange(n) % period]
+    return trend, seasonal, x - trend - seasonal
+
+
+def vibration_like(n, period, seed):
+    """A DC offset, a drifting baseline, a cycle of ``period`` samples, noise."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n)
+    return (3.0 + 0.01 * np.cumsum(rng.normal(size=n))
+            + np.sin(2 * np.pi * t / period) + 0.5 * rng.normal(size=n))
+
+
+@pytest.fixture
+def oaconvolve_calls(monkeypatch):
+    """Counts calls to ``scipy.signal.oaconvolve`` made while the test runs."""
+    import scipy.signal
+
+    calls = []
+    real = scipy.signal.oaconvolve
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].size)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.signal, "oaconvolve", counting)
+    return calls
+
+
+class TestTrendFilterPaths:
+    """Short kernels convolve directly; longer ones use overlap-add."""
+
+    @pytest.mark.parametrize("period", [2, 3, 4, 7, 12, 69, 138, 139])
+    def test_short_periods_match_direct_formulas_bitwise(self, period, oaconvolve_calls):
+        x = vibration_like(32768, period, seed=period)
+        d = decompose_additive(make_series(x, fs=4096.0), period)
+        trend, seasonal, residual = direct_decompose(x, period)
+        np.testing.assert_array_equal(d.trend, trend)
+        np.testing.assert_array_equal(d.seasonal, seasonal)
+        np.testing.assert_array_equal(d.residual, residual)
+        assert oaconvolve_calls == []
+
+    @pytest.mark.parametrize("n, period", [
+        (96_000, 695), (96_000, 1625), (96_000, 3310), (96_000, 3311), (480_000, 8125),
+    ])
+    def test_long_periods_match_direct_convolution(self, n, period, oaconvolve_calls):
+        x = vibration_like(n, period, seed=period)
+        d = decompose_additive(make_series(x, fs=48000.0), period)
+        trend, seasonal, residual = direct_decompose(x, period)
+        scale = np.abs(x).max()
+        assert np.abs(d.trend - trend).max() <= 1e-12 * scale
+        assert np.abs(d.seasonal - seasonal).max() <= 1e-12 * scale
+        assert np.abs(d.residual - residual).max() <= 1e-12 * scale
+        assert np.abs(d.reconstruct() - x).max() <= 1e-12
+        assert d.valid_range == (period // 2, n - period // 2)
+        assert oaconvolve_calls == [period + 1 - period % 2]
+
+    def test_crossover(self, oaconvolve_calls):
+        # Kernels have an odd number of taps, so the longest direct kernel
+        # (odd period) and the next one (even period, one tap more than the
+        # period) are two taps apart.
+        assert _DIRECT_MAX_TAPS % 2 == 1
+        x = vibration_like(96_000, _DIRECT_MAX_TAPS, seed=0)
+        at = decompose_additive(make_series(x), _DIRECT_MAX_TAPS)
+        np.testing.assert_array_equal(at.trend, direct_decompose(x, _DIRECT_MAX_TAPS)[0])
+        assert oaconvolve_calls == []
+
+        past = decompose_additive(make_series(x), _DIRECT_MAX_TAPS + 1)
+        trend = direct_decompose(x, _DIRECT_MAX_TAPS + 1)[0]
+        assert np.abs(past.trend - trend).max() <= 1e-12 * np.abs(x).max()
+        assert np.abs(past.reconstruct() - x).max() <= 1e-12
+        assert oaconvolve_calls == [_DIRECT_MAX_TAPS + 2]
+
+
 class TestEstimatePeriod:
     def test_recovers_sine_period(self):
         # The tapered-autocorrelation argmax needs enough cycles in view to
@@ -194,6 +289,15 @@ class TestEstimatePeriod:
             estimate_period(make_series(x, fs=100.0), hint_hz=50.0)
         with pytest.raises(ValueError):
             estimate_period(make_series(x, fs=100.0), hint_hz=-1.0)
+
+    @pytest.mark.parametrize("hint", [float("nan"), float("inf"), -float("inf")])
+    def test_hint_must_be_finite(self, hint):
+        with pytest.raises(ValueError, match="hint_hz must be finite"):
+            estimate_period(make_series(np.zeros(100), fs=100.0), hint_hz=hint)
+
+    def test_hint_must_give_a_finite_period(self):
+        with pytest.raises(ValueError, match="hint_hz 1e-320 implies an infinite period"):
+            estimate_period(make_series(np.zeros(100), fs=100.0), hint_hz=1e-320)
 
     def test_tie_breaks_to_smallest_lag(self):
         # A period-6 square alternation peaks equally at lags 6, 12, 18...

@@ -2,6 +2,7 @@
 
 import logging
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -200,6 +201,57 @@ class TestFormatErrors:
         with pytest.raises(MatFormatError, match="corrupt") as exc:
             parse_mat(file_bytes(elem))
         assert exc.value.offset == 128
+
+    def test_tag_behind_a_long_run_of_empty_blocks(self):
+        # A hand-built zlib stream: 400 empty stored blocks of 5 bytes, then
+        # the element in one final stored block, so the first output byte
+        # comes after 2 KB of compressed input.
+        elem = matrix_element(b"v", 6, (1, 2), MI_DOUBLE, np.arange(2.0).tobytes())
+        packed = (b"\x78\x01" + b"\x00\x00\x00\xff\xff" * 400
+                  + b"\x01" + struct.pack("<HH", len(elem), len(elem) ^ 0xFFFF) + elem
+                  + struct.pack(">I", zlib.adler32(elem)))
+        assert zlib.decompress(packed) == elem
+        got = parse_mat(file_bytes(struct.pack("<II", MI_COMPRESSED, len(packed)) + packed))
+        np.testing.assert_array_equal(got["v"].data, [[0.0, 1.0]])
+
+    def test_cut_compressed_stream(self):
+        elem = _compressed(matrix_element(b"v", 6, (1, 2), MI_DOUBLE, np.ones(2).tobytes()))
+        cut = elem[8:-4]  # drop the stream's checksum, keep every data byte
+        with pytest.raises(MatFormatError, match="truncated stream") as exc:
+            parse_mat(file_bytes(struct.pack("<II", MI_COMPRESSED, len(cut)) + cut))
+        assert exc.value.offset == 128
+
+    def test_compressed_element_shorter_than_its_tag_declares(self):
+        elem = bytearray(matrix_element(b"v", 6, (1, 2), MI_DOUBLE, np.ones(2).tobytes()))
+        struct.pack_into("<I", elem, 4, len(elem))  # declares 8 bytes more than it holds
+        with pytest.raises(MatFormatError, match="truncated compressed element payload") as exc:
+            parse_mat(file_bytes(_compressed(bytes(elem))))
+        assert exc.value.offset == 128 + 8
+
+    def test_decompression_bomb_stops_at_the_declared_size(self):
+        # A valid one-value variable followed by 64 MiB of zeros, all in one
+        # compressed element of about 65 KB.  The zeros are streamed through
+        # the compressor, so the expanded bytes are never held here either.
+        plain = matrix_element(b"a", 6, (1, 1), MI_DOUBLE, struct.pack("<d", 1.0))
+        inner = matrix_element(b"b", 6, (1, 1), MI_DOUBLE, struct.pack("<d", 2.0))
+        packer = zlib.compressobj(6)
+        chunks = [packer.compress(inner)]
+        zeros = bytes(1 << 20)
+        chunks += [packer.compress(zeros) for _ in range(64)]
+        chunks.append(packer.flush())
+        packed = b"".join(chunks)
+        buf = file_bytes(plain, struct.pack("<II", MI_COMPRESSED, len(packed)) + packed)
+        assert len(buf) < 100_000
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(MatFormatError, match=f"expands past the {len(inner)} bytes") as exc:
+                parse_mat(buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.offset == 128 + len(plain)
+        assert peak < 4 << 20
 
     def test_value_count_dimension_mismatch(self):
         elem = matrix_element(b"m", 6, (2, 3), MI_DOUBLE, struct.pack("<2d", 1.0, 2.0))
