@@ -154,19 +154,15 @@ def estimate_period(x: TimeSeries, hint_hz: float | None = None) -> int:
     if n < 16:
         raise ValueError(f"need at least 16 samples to estimate a period, got {n}")
     if hint_hz is not None:
-        if not np.isfinite(hint_hz):
-            raise ValueError(f"hint_hz must be finite, got {hint_hz}")
+        if hint_hz <= 0:
+            raise ValueError(f"hint_hz must be positive, got {hint_hz}")
+        period = x.sample_rate_hz / hint_hz
+        if not (np.isfinite(hint_hz) and np.isfinite(period)):
+            raise ValueError(f"hint_hz must be finite and give a finite period, got {hint_hz}")
         if hint_hz >= x.sample_rate_hz / 2:
             raise ValueError(
                 f"hint {hint_hz} Hz implies a period under 2 samples at "
                 f"{x.sample_rate_hz} Hz"
-            )
-        if hint_hz <= 0:
-            raise ValueError(f"hint_hz must be positive, got {hint_hz}")
-        period = x.sample_rate_hz / hint_hz
-        if not np.isfinite(period):
-            raise ValueError(
-                f"hint_hz {hint_hz} implies an infinite period at {x.sample_rate_hz} Hz"
             )
         return round(period)
 

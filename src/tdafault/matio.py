@@ -15,6 +15,7 @@ byte ``offset`` where parsing stopped.
 from __future__ import annotations
 
 import logging
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -55,9 +56,9 @@ _MX_CLASSES = {
 _DTYPE_TO_MX = {np.dtype(d.str.lstrip("<")): code for code, (_, d, _) in _MX_CLASSES.items()}
 
 _FLAG_COMPLEX = 0x0800
-# Compressed input that holds a compressed element's 8-byte tag, unless the
-# stream is unusual: a dynamic Huffman block header takes at most ~600 bytes.
-_TAG_PREFIX = 1024
+# Output inflated from a compressed element before its size is trusted: room
+# for the tag, flags, dimensions, name and real-part tag of any real variable.
+_HEAD_BYTES = 1 << 16
 
 
 class MatFormatError(ValueError):
@@ -139,13 +140,16 @@ def _numeric_payload(mtype: int, payload: bytes, offset: int, what: str) -> np.n
     return np.frombuffer(payload, dtype=dtype)
 
 
-def _parse_matrix(payload: bytes, base: int) -> MatArray | None:
-    """Decode one miMATRIX payload; None when the variable is unsupported."""
-    r = _Reader(payload, base)
+def _matrix_header(r: _Reader) -> tuple[int, tuple[int, ...], str] | None:
+    """Read a miMATRIX payload's flags, dimensions and name.
 
+    Returns (class code, dimensions, name), or None with a logged warning
+    when the variable is of a kind this reader skips.
+    """
+    flags_offset = r.offset
     flag_type, flag_bytes = _read_tag(r, "array flags")
     if flag_type != MI_UINT32 or len(flag_bytes) != 8:
-        raise MatFormatError("array flags subelement malformed", base)
+        raise MatFormatError("array flags subelement malformed", flags_offset)
     flags = struct.unpack("<I", flag_bytes[:4])[0]
     class_code = flags & 0xFF
 
@@ -170,6 +174,16 @@ def _parse_matrix(payload: bytes, base: int) -> MatArray | None:
     if flags & _FLAG_COMPLEX:
         logger.warning("skipping variable %r: complex data not supported", name)
         return None
+    return class_code, dims, name
+
+
+def _parse_matrix(payload: bytes, base: int) -> MatArray | None:
+    """Decode one miMATRIX payload; None when the variable is unsupported."""
+    r = _Reader(payload, base)
+    header = _matrix_header(r)
+    if header is None:
+        return None
+    class_code, dims, name = header
 
     class_name, out_dtype, _ = _MX_CLASSES[class_code]
     data_offset = r.offset
@@ -184,33 +198,63 @@ def _parse_matrix(payload: bytes, base: int) -> MatArray | None:
     return MatArray(name=name, data=data, matlab_class=class_name)
 
 
-def _inflate(payload: bytes, offset: int) -> bytes:
-    """Decompress one compressed element's payload: the one element it holds.
+def _parse_compressed(payload: bytes, offset: int) -> MatArray | None:
+    """Decode the one element a compressed element holds.
 
-    The inner tag is inflated first and the size it declares, plus padding,
-    caps the output, so a payload that expands past its declared element
-    raises instead of filling memory.
+    The first ``_HEAD_BYTES`` of output are inflated and the element's header
+    read from them (a header longer than that reads as truncated).  A numeric
+    matrix is then inflated to the size its tag declares, which may not
+    exceed its header plus the values its dimensions call for, and output
+    past that size raises.  Any other element is skipped without inflating
+    more.  So no element inflates past ``_HEAD_BYTES`` or the size of the
+    values its dimensions declare, whichever is larger.
     """
-    try:
-        # The tag is inflated from a prefix, so that the rest of a large
-        # payload is not copied for it; a stream whose first 8 output bytes
-        # lie deeper (behind a run of empty blocks, say) is read whole.
-        tag = zlib.decompressobj().decompress(payload[:_TAG_PREFIX], 8)
-        if len(tag) < 8 and len(payload) > _TAG_PREFIX:
-            tag = zlib.decompressobj().decompress(payload, 8)
-        size = 8
-        if len(tag) == 8:
-            first, nbytes = struct.unpack("<II", tag)
-            # A small element (size in the upper half of its first word) is
-            # its 8-byte tag alone.
-            if not first >> 16:
-                size += nbytes + (-nbytes) % 8
-        d = zlib.decompressobj()
-        inner = d.decompress(payload, size)
-        beyond = d.decompress(d.unconsumed_tail, 1)
-    except zlib.error as exc:
-        raise MatFormatError(f"compressed element is corrupt: {exc}", offset) from exc
-    if beyond:
+    d = zlib.decompressobj()
+
+    def inflate(data: bytes, max_length: int) -> bytes:
+        try:
+            return d.decompress(data, max_length)
+        except zlib.error as exc:
+            raise MatFormatError(f"compressed element is corrupt: {exc}", offset) from exc
+
+    inner = inflate(payload, _HEAD_BYTES)
+    r = _Reader(inner, offset)
+    mtype, nbytes = struct.unpack("<II", r.take(8, "compressed element tag"))
+    if mtype != MI_MATRIX:
+        logger.warning(
+            "skipping compressed element of type %d at offset %d", mtype & 0xFFFF, offset
+        )
+        return None
+    header = _matrix_header(r)
+    if header is None:
+        return None
+    _, dims, name = header
+
+    data_offset = r.offset
+    data_type = struct.unpack("<I", r.take(4, "real part tag"))[0]
+    if data_type >> 16:  # a small element: at most 4 bytes, inside its tag
+        limit = r.pos + 4
+    else:
+        dtype = _MI_DTYPES.get(data_type)
+        if dtype is None:
+            raise MatFormatError(f"real part uses unsupported data type {data_type}", data_offset)
+        data_bytes = struct.unpack("<I", r.take(4, "real part size"))[0]
+        if data_bytes > math.prod(dims) * dtype.itemsize:
+            raise MatFormatError(
+                f"variable {name!r} declares {data_bytes} bytes of values "
+                f"for dimensions {dims}", data_offset
+            )
+        limit = r.pos + data_bytes + (-data_bytes) % 8
+    size = 8 + nbytes + (-nbytes) % 8
+    if size > limit:
+        raise MatFormatError(
+            f"compressed element declares {nbytes} bytes, more than the "
+            f"{limit - 8} its header and dimensions call for", offset
+        )
+
+    if len(inner) < size:
+        inner += inflate(d.unconsumed_tail, size - len(inner))
+    if len(inner) > size or inflate(d.unconsumed_tail, 1):
         raise MatFormatError(
             f"compressed element expands past the {size} bytes its tag declares", offset
         )
@@ -218,7 +262,8 @@ def _inflate(payload: bytes, offset: int) -> bytes:
         raise MatFormatError(
             "compressed element is corrupt: incomplete or truncated stream", offset
         )
-    return inner
+    _, matrix = _read_tag(_Reader(memoryview(inner), offset), "compressed element")
+    return _parse_matrix(matrix, offset + 8)
 
 
 def parse_mat(buf: bytes) -> dict[str, MatArray]:
@@ -248,15 +293,7 @@ def parse_mat(buf: bytes) -> dict[str, MatArray]:
         if mtype == MI_MATRIX:
             add(_parse_matrix(payload, elem_offset + 8))
         elif mtype == MI_COMPRESSED:
-            sub = _Reader(memoryview(_inflate(payload, elem_offset)), elem_offset)
-            sub_type, sub_payload = _read_tag(sub, "compressed element")
-            if sub_type == MI_MATRIX:
-                add(_parse_matrix(sub_payload, elem_offset + 8))
-            else:
-                logger.warning(
-                    "skipping compressed element of type %d at offset %d",
-                    sub_type, elem_offset,
-                )
+            add(_parse_compressed(payload, elem_offset))
         else:
             logger.warning("skipping element of type %d at offset %d", mtype, elem_offset)
     return out

@@ -290,14 +290,10 @@ class TestEstimatePeriod:
         with pytest.raises(ValueError):
             estimate_period(make_series(x, fs=100.0), hint_hz=-1.0)
 
-    @pytest.mark.parametrize("hint", [float("nan"), float("inf"), -float("inf")])
-    def test_hint_must_be_finite(self, hint):
-        with pytest.raises(ValueError, match="hint_hz must be finite"):
+    @pytest.mark.parametrize("hint", [float("nan"), float("inf"), 1e-320])
+    def test_hint_must_give_a_finite_period(self, hint):
+        with pytest.raises(ValueError, match="hint_hz must be finite and give a finite period"):
             estimate_period(make_series(np.zeros(100), fs=100.0), hint_hz=hint)
-
-    def test_hint_must_give_a_finite_period(self):
-        with pytest.raises(ValueError, match="hint_hz 1e-320 implies an infinite period"):
-            estimate_period(make_series(np.zeros(100), fs=100.0), hint_hz=1e-320)
 
     def test_tie_breaks_to_smallest_lag(self):
         # A period-6 square alternation peaks equally at lags 6, 12, 18...

@@ -42,6 +42,11 @@ def matrix_element(name: bytes, class_code: int, dims, data_mtype, payload: byte
     return _element_bytes(MI_MATRIX, body)
 
 
+def _with_size(element: bytes, nbytes: int) -> bytes:
+    """``element`` with the byte count in its tag replaced by ``nbytes``."""
+    return element[:4] + struct.pack("<I", nbytes) + element[8:]
+
+
 SAMPLE = {
     "big": np.arange(24, dtype=np.float64).reshape(4, 6) / 7.0,
     "ab": np.array([[1.5, -2.5]], dtype=np.float32),  # short name: small element
@@ -222,20 +227,42 @@ class TestFormatErrors:
         assert exc.value.offset == 128
 
     def test_compressed_element_shorter_than_its_tag_declares(self):
-        elem = bytearray(matrix_element(b"v", 6, (1, 2), MI_DOUBLE, np.ones(2).tobytes()))
-        struct.pack_into("<I", elem, 4, len(elem))  # declares 8 bytes more than it holds
+        elem = matrix_element(b"v", 6, (1, 2), MI_DOUBLE, np.ones(2).tobytes())
+        cut = elem[:-8]  # its tags still declare the second value
         with pytest.raises(MatFormatError, match="truncated compressed element payload") as exc:
-            parse_mat(file_bytes(_compressed(bytes(elem))))
+            parse_mat(file_bytes(_compressed(cut)))
         assert exc.value.offset == 128 + 8
 
-    def test_decompression_bomb_stops_at_the_declared_size(self):
-        # A valid one-value variable followed by 64 MiB of zeros, all in one
-        # compressed element of about 65 KB.  The zeros are streamed through
-        # the compressor, so the expanded bytes are never held here either.
+    def test_compressed_element_longer_than_its_tag_declares(self):
+        elem = matrix_element(b"v", 6, (1, 2), MI_DOUBLE, np.ones(2).tobytes())
+        with pytest.raises(MatFormatError, match="expands past the 72 bytes") as exc:
+            parse_mat(file_bytes(_compressed(elem + bytes(8))))
+        assert exc.value.offset == 128
+
+    @pytest.mark.parametrize("head, error", [
+        # a valid element, then the zeros
+        (matrix_element(b"b", 6, (1, 1), MI_DOUBLE, struct.pack("<d", 2.0)),
+         "expands past the 64 bytes its tag declares"),
+        # an element tag declaring almost 4 GiB, then nothing but zeros
+        (struct.pack("<II", MI_MATRIX, 0xFFFFFFF0), "array flags subelement malformed"),
+        # a valid one-value header under an element tag declaring 4 GiB
+        (_with_size(matrix_element(b"b", 6, (1, 1), MI_DOUBLE, struct.pack("<d", 2.0)),
+                    0xFFFFFFF0),
+         "declares 4294967280 bytes, more than the 56 its header and dimensions call for"),
+        # a real part declaring 4 GiB for a one-value variable
+        (_with_size(matrix_element(b"b", 6, (1, 1), MI_DOUBLE, b""), 0xFFFFFFF0)[:-8]
+         + struct.pack("<II", MI_DOUBLE, 0xFFFFFFF0),
+         "'b' declares 4294967280 bytes of values for dimensions \\(1, 1\\)"),
+        # a class that is skipped, declaring 4 GiB
+        (_with_size(matrix_element(b"b", 1, (1, 1), MI_DOUBLE, b""), 0xFFFFFFF0)[:-8], None),
+    ], ids=["past-valid-element", "tag-only", "element-size", "real-part-size", "skipped"])
+    def test_decompression_bomb_stops_at_the_header(self, head, error, caplog):
+        # 64 MiB of zeros after ``head``, all in one compressed element of
+        # about 65 KB, behind a valid variable.  The zeros are streamed
+        # through the compressor, so the expanded bytes are never held here.
         plain = matrix_element(b"a", 6, (1, 1), MI_DOUBLE, struct.pack("<d", 1.0))
-        inner = matrix_element(b"b", 6, (1, 1), MI_DOUBLE, struct.pack("<d", 2.0))
         packer = zlib.compressobj(6)
-        chunks = [packer.compress(inner)]
+        chunks = [packer.compress(head)]
         zeros = bytes(1 << 20)
         chunks += [packer.compress(zeros) for _ in range(64)]
         chunks.append(packer.flush())
@@ -245,13 +272,18 @@ class TestFormatErrors:
 
         tracemalloc.start()
         try:
-            with pytest.raises(MatFormatError, match=f"expands past the {len(inner)} bytes") as exc:
-                parse_mat(buf)
+            if error is None:
+                with caplog.at_level(logging.WARNING, logger="tdafault.matio"):
+                    assert list(parse_mat(buf)) == ["a"]
+                assert "class code 1" in caplog.text
+            else:
+                with pytest.raises(MatFormatError, match=error) as exc:
+                    parse_mat(buf)
+                assert 128 + len(plain) <= exc.value.offset < 128 + len(plain) + 64
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert exc.value.offset == 128 + len(plain)
-        assert peak < 4 << 20
+        assert peak < 1 << 20
 
     def test_value_count_dimension_mismatch(self):
         elem = matrix_element(b"m", 6, (2, 3), MI_DOUBLE, struct.pack("<2d", 1.0, 2.0))
