@@ -17,11 +17,30 @@ Graph mechanics follow the usual closure pattern: each op records its parent
 tensors and an adjoint closure; ``backward`` replays the closures in exact
 reverse creation order, accumulating gradients by addition.  A closure
 reaches its own node only through a weak reference, so graphs hold no
-reference cycles and are freed as soon as their root is dropped.
+reference cycles and are freed as soon as their root is dropped.  Inside a
+:func:`no_grad` block ops record nothing: their outputs have no parents and
+no adjoint, so inference keeps no graph alive.
+
+Gradients are owned, not zero-filled: a node's first contribution becomes
+its ``grad`` as it is when the adjoint made that array itself (``fresh``)
+and both it and ``data`` are C-contiguous with the same shape; otherwise it
+is copied into a buffer laid out like ``data``, so an array shared with
+another node is never adopted.  Later contributions add into that buffer.
+Either way the buffer has ``data``'s layout, as a zero-filled one would, so
+products of gradients sum in the same order and give the same bits.
+
+Adjoints never write into the incoming ``out.grad``; forward passes and
+adjoints work in place on the arrays they allocate (softmax, layer norm,
+GELU), in the same float operations and order as the textbook formulas.
+:func:`matmul` takes an optional ``bias`` row added into the product's own
+buffer, which is how the model applies every bias; ``add_rowvec`` stays in
+the catalog as the standalone form.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import weakref
 
@@ -50,12 +69,15 @@ __all__ = [
     "op_catalog",
     "grad_check",
     "zero_grad",
+    "no_grad",
 ]
 
 _SEQ = itertools.count()
 _LN_EPS = 1e-5
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# False inside a no_grad block (per thread and per asyncio task)
+_GRAD_ENABLED = contextvars.ContextVar("tdafault_grad_enabled", default=True)
 
 
 class NumericsError(ArithmeticError):
@@ -73,7 +95,7 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim > 3:
             raise ValueError(f"rank {arr.ndim} tensor not supported (max 3)")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericsError(f"non-finite values in result of op {_op!r}")
         self.data = arr
         self.requires_grad = requires_grad
@@ -90,10 +112,21 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+    def accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add the contribution ``g`` to this node's gradient.
+
+        ``fresh`` promises that the caller allocated ``g`` itself and keeps
+        no other use of it; only then may the first contribution be adopted
+        without a copy.
+        """
+        if self.grad is not None:
+            self.grad += g
+        elif (fresh and g.shape == self.data.shape and g.flags.c_contiguous
+              and self.data.flags.c_contiguous):
+            self.grad = g
+        else:
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
 
     def backward(self) -> None:
         """Backpropagate from a scalar output through the recorded graph.
@@ -130,8 +163,24 @@ def zero_grad(params) -> None:
         p.grad = None
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph inside the block; the previous mode returns on exit.
+
+    Ops still compute and check their outputs (NaN/Inf raise
+    :class:`NumericsError`) but record no parents and no adjoint, so the
+    outputs do not require grad and nothing can be back-propagated through
+    them.  Blocks nest, and the mode is restored also when the body raises.
+    """
+    token = _GRAD_ENABLED.set(False)
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED.reset(token)
+
+
 def _make(data, parents, op: str, backward=None) -> Tensor:
-    tracked = tuple(p for p in parents if p.requires_grad)
+    tracked = tuple(p for p in parents if p.requires_grad) if _GRAD_ENABLED.get() else ()
     out = Tensor(data, requires_grad=bool(tracked), _parents=tracked, _op=op)
     if tracked and backward is not None:
         ref = weakref.ref(out)
@@ -153,29 +202,42 @@ def _swap(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """Matrix product; a 3-D ``a`` multiplies each sample by ``b``.
 
     ``b`` is either one 2-D matrix shared by every sample or a 3-D stack
-    holding one matrix per sample.
+    holding one matrix per sample.  ``bias``, a vector with one entry per
+    output column, is added to every row of the product in the product's
+    own buffer: the same sums as ``add_rowvec(matmul(a, b), bias)``, without
+    a second output array.
     """
     _need_rows(a, "matmul")
     _need_rows(b, "matmul")
     shared = b.data.ndim < a.data.ndim
     if a.shape[-1] != b.shape[-2] or (not shared and a.shape[:-2] != b.shape[:-2]):
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+    if bias is not None and (bias.data.ndim != 1 or bias.shape[0] != b.shape[-1]):
+        raise ValueError(f"matmul bias shape mismatch: {b.shape} vs vector {bias.shape}")
 
     def backward(out):
         g = out.grad
         if a.requires_grad:
-            a.accumulate(g @ _swap(b.data))
+            a.accumulate(g @ _swap(b.data), fresh=True)
         if b.requires_grad:
             if shared:
-                b.accumulate(a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
-                b.accumulate(_swap(a.data) @ g)
+                gb = _swap(a.data) @ g
+            b.accumulate(gb, fresh=True)
+        if bias is not None and bias.requires_grad:
+            bias.accumulate(_batch_sum(g, g.shape[-1]), fresh=True)
 
-    return _make(a.data @ b.data, (a, b), "matmul", backward)
+    y = a.data @ b.data
+    parents = (a, b)
+    if bias is not None:
+        y += bias.data
+        parents += (bias,)
+    return _make(y, parents, "matmul", backward)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -198,6 +260,11 @@ def _merge(x: np.ndarray, heads: int) -> np.ndarray:
     return x.reshape(-1, heads, t, d).swapaxes(1, 2).reshape(-1, t, heads * d)
 
 
+def _pass_on(a: Tensor, g: np.ndarray, src: np.ndarray) -> None:
+    """Accumulate ``g``, a reshaping of ``src``, fresh unless it is a view of ``src``."""
+    a.accumulate(g, fresh=not np.may_share_memory(g, src))
+
+
 def split_heads(a: Tensor, heads: int) -> Tensor:
     """Fold heads into the batch, ``(B, T, heads*d) -> (B*heads, T, d)``.
 
@@ -207,7 +274,7 @@ def split_heads(a: Tensor, heads: int) -> Tensor:
         raise ValueError(f"split_heads cannot split {a.shape} into {heads} heads")
 
     def backward(out):
-        a.accumulate(_merge(out.grad, heads))
+        _pass_on(a, _merge(out.grad, heads), out.grad)
 
     return _make(_split(a.data, heads), (a,), "split_heads", backward)
 
@@ -218,7 +285,7 @@ def merge_heads(a: Tensor, heads: int) -> Tensor:
         raise ValueError(f"merge_heads cannot merge {a.shape} over {heads} heads")
 
     def backward(out):
-        a.accumulate(_split(out.grad, heads))
+        _pass_on(a, _split(out.grad, heads), out.grad)
 
     return _make(_merge(a.data, heads), (a,), "merge_heads", backward)
 
@@ -232,6 +299,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
 
     def backward(out):
+        # both parents see the same array, so neither may adopt it
         if a.requires_grad:
             a.accumulate(out.grad)
         if b.requires_grad:
@@ -247,7 +315,7 @@ def subtract(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate(out.grad)
         if b.requires_grad:
-            b.accumulate(-out.grad)
+            b.accumulate(-out.grad, fresh=True)
 
     return _make(a.data - b.data, (a, b), "subtract", backward)
 
@@ -257,9 +325,9 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(out):
         if a.requires_grad:
-            a.accumulate(out.grad * b.data)
+            a.accumulate(out.grad * b.data, fresh=True)
         if b.requires_grad:
-            b.accumulate(out.grad * a.data)
+            b.accumulate(out.grad * a.data, fresh=True)
 
     return _make(a.data * b.data, (a, b), "multiply", backward)
 
@@ -268,7 +336,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
     def backward(out):
-        a.accumulate(out.grad * c)
+        a.accumulate(out.grad * c, fresh=True)
 
     return _make(a.data * c, (a,), "scale", backward)
 
@@ -299,12 +367,12 @@ def mul_rowvec(a: Tensor, v: Tensor) -> Tensor:
     def backward(out):
         g = out.grad.reshape(grouped.shape)
         if a.requires_grad:
-            a.accumulate((g * factors).reshape(a.shape))
+            a.accumulate((g * factors).reshape(a.shape), fresh=True)
         if v.requires_grad:
             gv = np.zeros_like(v.data)
             # row r: its samples in order, each sample's positions in order
             gv[:, :n] = np.swapaxes(g * grouped, 0, 1).reshape(k, -1, n).sum(axis=1)
-            v.accumulate(gv)
+            v.accumulate(gv, fresh=True)
 
     return _make((grouped * factors).reshape(a.shape), (a, v), "mul_rowvec", backward)
 
@@ -318,9 +386,9 @@ def mul_colvec(a: Tensor, u: Tensor) -> Tensor:
 
     def backward(out):
         if a.requires_grad:
-            a.accumulate(out.grad * u.data[:, None])
+            a.accumulate(out.grad * u.data[:, None], fresh=True)
         if u.requires_grad:
-            u.accumulate(_batch_sum((out.grad * a.data).sum(axis=-1), m))
+            u.accumulate(_batch_sum((out.grad * a.data).sum(axis=-1), m), fresh=True)
 
     return _make(a.data * u.data[:, None], (a, u), "mul_colvec", backward)
 
@@ -336,21 +404,26 @@ def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate(out.grad)
         if v.requires_grad:
-            v.accumulate(_batch_sum(out.grad, n))
+            v.accumulate(_batch_sum(out.grad, n), fresh=True)
 
     return _make(a.data + v.data, (a, v), "add_rowvec", backward)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
     _need_rows(a, "softmax_rows")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
+    # exp(x - max) / sum, computed in one buffer
+    p = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
 
     def backward(out):
-        # dL/dx = P * (g - sum_j g_j P_j) row-wise
-        dot = (out.grad * p).sum(axis=-1, keepdims=True)
-        a.accumulate(p * (out.grad - dot))
+        # dL/dx = P * (g - sum_j g_j P_j) row-wise, in one buffer
+        g = out.grad
+        dx = g * p
+        dot = dx.sum(axis=-1, keepdims=True)
+        np.subtract(g, dot, out=dx)
+        dx *= p
+        a.accumulate(dx, fresh=True)
 
     return _make(p, (a,), "softmax_rows", backward)
 
@@ -362,7 +435,7 @@ def exp(a: Tensor) -> Tensor:
         e = np.exp(a.data)
 
     def backward(out):
-        a.accumulate(out.grad * e)
+        a.accumulate(out.grad * e, fresh=True)
 
     return _make(e, (a,), "exp", backward)
 
@@ -384,18 +457,33 @@ def mean_rows(a: Tensor) -> Tensor:
 
 
 def layer_norm(a: Tensor, eps: float = _LN_EPS) -> Tensor:
-    """Normalise each row to zero mean and unit variance (no affine part)."""
+    """Normalise each row to zero mean and unit variance (no affine part).
+
+    The variance is ``np.var``'s: the mean of the squared centred row.
+    """
     _need_rows(a, "layer_norm")
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
+    x = a.data
+    mu = x.mean(axis=-1, keepdims=True)
+    # one buffer: first the squared centred rows, then the normalised rows
+    y = np.subtract(x, mu)
+    np.square(y, out=y)
+    var = y.sum(axis=-1, keepdims=True)
+    var /= x.shape[-1]
     inv = 1.0 / np.sqrt(var + eps)
-    y = (a.data - mu) * inv
+    np.subtract(x, mu, out=y)
+    y *= inv
 
     def backward(out):
+        # inv * (g - mean(g) - y * mean(g * y)) row-wise
         g = out.grad
-        gy = (g * y).mean(axis=-1, keepdims=True)
+        dx = g * y
+        gy = dx.mean(axis=-1, keepdims=True)
         gm = g.mean(axis=-1, keepdims=True)
-        a.accumulate(inv * (g - gm - y * gy))
+        y_gy = y * gy
+        np.subtract(g, gm, out=dx)
+        dx -= y_gy
+        dx *= inv
+        a.accumulate(dx, fresh=True)
 
     return _make(y, (a,), "layer_norm", backward)
 
@@ -405,14 +493,28 @@ def gelu(a: Tensor) -> Tensor:
     # Imported here to keep scipy.special off the cold start of every verb.
     from scipy.special import erf
 
-    cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
-    y = a.data * cdf
+    x = a.data
+    # cdf = 0.5 * (1 + erf(x / sqrt 2)), in one buffer
+    cdf = x * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    if not (_GRAD_ENABLED.get() and a.requires_grad):  # no adjoint keeps cdf
+        cdf *= x
+        return _make(cdf, (a,), "gelu")
 
     def backward(out):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * a.data**2)
-        a.accumulate(out.grad * (cdf + a.data * pdf))
+        # g * (cdf + x * pdf), pdf = exp(-x^2 / 2) / sqrt(2 pi), in one buffer
+        dx = np.square(x)
+        dx *= -0.5
+        np.exp(dx, out=dx)
+        dx *= _INV_SQRT2PI
+        dx *= x
+        dx += cdf
+        dx *= out.grad
+        a.accumulate(dx, fresh=True)
 
-    return _make(y, (a,), "gelu", backward)
+    return _make(x * cdf, (a,), "gelu", backward)
 
 
 def cross_entropy_logits(logits: Tensor, target) -> Tensor:
@@ -443,7 +545,7 @@ def cross_entropy_logits(logits: Tensor, target) -> Tensor:
     def backward(out):
         p = np.exp(z - lse)
         p[rows, targets] -= 1.0
-        logits.accumulate(out.grad.reshape(()) * p)
+        logits.accumulate(out.grad.reshape(()) * p, fresh=True)
 
     return _make(np.array([[loss]]), (logits,), "cross_entropy_logits", backward)
 

@@ -404,8 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="write trend/seasonal/residual components")
     common(p, "output components directory")
     p.add_argument("--store", required=True, help="input recording store")
-    p.add_argument("--period", type=int, help="fixed cycle length in samples")
-    p.add_argument("--period-hint-hz", type=float, help="known cycle frequency in Hz")
+    period = p.add_mutually_exclusive_group()
+    period.add_argument("--period", type=int, help="fixed cycle length in samples")
+    period.add_argument("--period-hint-hz", type=float, help="known cycle frequency in Hz")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("featurize", help="build standardized, split token segments")

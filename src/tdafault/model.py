@@ -162,25 +162,28 @@ class TdaEncoder:
     def _embed_channel(self, tokens: np.ndarray, name: str) -> Tensor:
         lo, hi = self.channel_map[f"{name}_feats"]
         w, b = self.embed[f"embed.{name}.w"], self.embed[f"embed.{name}.b"]
-        return ad.add_rowvec(ad.matmul(Tensor(tokens[..., lo:hi]), w), b)
+        return ad.matmul(Tensor(tokens[..., lo:hi]), w, bias=b)
 
     def dropout_masks(self, lengths) -> list[list[np.ndarray]]:
         """Scaled keep-masks for a training batch, one list per sequence.
 
         Each sequence of length ``T`` gets a ``(T, d_model)`` mask per layer
-        for the attention output, then one for the FFN output.  They are
-        drawn sequence by sequence in batch order, so a batch consumes the
-        dropout stream exactly as running its sequences one at a time does.
-        The lists are empty when the dropout rate is 0.
+        for the attention output, then one for the FFN output.  The batch
+        takes one draw from the dropout stream, split by sequence in batch
+        order, then by site, then into ``(T, d_model)`` blocks, so it consumes
+        the stream exactly as running its sequences one at a time does.  The
+        lists are empty when the dropout rate is 0.
         """
         rate = self.cfg.dropout_rate
-        sites = 2 * self.cfg.layers if rate > 0.0 else 0
+        if rate == 0.0:
+            return [[] for _ in lengths]
+        sites, width = 2 * self.cfg.layers, self.cfg.d_model
+        sizes = [sites * t_len * width for t_len in lengths]
+        draw = self._dropout_rng.random(sum(sizes))
+        keep = np.divide(draw >= rate, 1.0 - rate, out=draw)
         return [
-            [
-                (self._dropout_rng.random((t_len, self.cfg.d_model)) >= rate) / (1.0 - rate)
-                for _ in range(sites)
-            ]
-            for t_len in lengths
+            list(block.reshape(sites, t_len, width))
+            for block, t_len in zip(np.split(keep, np.cumsum(sizes)[:-1]), lengths)
         ]
 
     @staticmethod
@@ -233,20 +236,24 @@ class TdaEncoder:
         for i, layer in enumerate(self.layers):
             attn = self._attend(layer, x, x_tr, x_se)
             x = ad.layer_norm(ad.add(x, self._dropout(attn, drop, 2 * i)))
-            hidden = ad.gelu(ad.add_rowvec(ad.matmul(x, layer["ffn.w1"]), layer["ffn.b1"]))
-            ff = ad.add_rowvec(ad.matmul(hidden, layer["ffn.w2"]), layer["ffn.b2"])
+            hidden = ad.gelu(ad.matmul(x, layer["ffn.w1"], bias=layer["ffn.b1"]))
+            ff = ad.matmul(hidden, layer["ffn.w2"], bias=layer["ffn.b2"])
             x = ad.layer_norm(ad.add(x, self._dropout(ff, drop, 2 * i + 1)))
 
         pooled = ad.mean_rows(x)
-        return ad.add_rowvec(ad.matmul(pooled, self.head_w), self.head_b)
+        return ad.matmul(pooled, self.head_w, bias=self.head_b)
 
     def loss(self, tokens: np.ndarray, target, training: bool = False) -> Tensor:
         """Summed cross-entropy: an int target for one sequence, an array for a batch."""
         return ad.cross_entropy_logits(self.forward(tokens, training=training), target)
 
     def logits(self, tokens: np.ndarray) -> np.ndarray:
-        """Class logits for one (T, F) sequence, as a plain (n_classes,) array."""
-        return self.forward(tokens).data[0].copy()
+        """Class logits for one (T, F) sequence, as a plain (n_classes,) array.
+
+        Runs under :func:`~tdafault.autodiff.no_grad`, so no graph is built.
+        """
+        with ad.no_grad():
+            return self.forward(tokens).data[0].copy()
 
     def predict(self, tokens: np.ndarray) -> int:
         """Class index; ties resolve to the lowest index via argmax."""

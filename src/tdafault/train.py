@@ -59,8 +59,16 @@ class Adam:
         self.t = 0
         self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        # two scratch buffers per parameter, so a step allocates nothing
+        self._scratch = {k: (np.empty_like(p.data), np.empty_like(p.data))
+                         for k, p in params.items()}
 
     def step(self) -> None:
+        """One update, ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, in place.
+
+        The float operations and their order are the formula's, so the
+        parameters are bit-identical to evaluating it with temporaries.
+        """
         cfg = self.cfg
         self.t += 1
         bc1 = 1.0 - cfg.beta1 ** self.t
@@ -71,11 +79,21 @@ class Adam:
                 continue
             m = self._m[name]
             v = self._v[name]
+            s, u = self._scratch[name]
             m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
+            np.multiply(g, 1.0 - cfg.beta1, out=s)
+            m += s
             v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            p.data -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+            np.multiply(g, 1.0 - cfg.beta2, out=s)
+            s *= g
+            v += s
+            np.divide(v, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += cfg.eps
+            np.divide(m, bc1, out=u)
+            u *= cfg.learning_rate
+            u /= s
+            p.data -= u
 
 
 @dataclass
@@ -179,18 +197,20 @@ def evaluate(model: TdaEncoder, data, labels) -> tuple[EvalReport, float]:
     """Score a dataset; returns the metric report and the mean loss.
 
     Sequences run through the batched forward in chunks of
-    ``EVAL_CHUNK``, each split into equal-length groups.
+    ``EVAL_CHUNK``, each split into equal-length groups, under
+    :func:`~tdafault.autodiff.no_grad`: no graph is built and parameter
+    gradients are left as they are.
     """
     if len(data) == 0:
         raise ValueError("cannot evaluate an empty dataset")
     y_pred = np.empty(len(data), dtype=np.int64)
     total = 0.0
-    for start in range(0, len(data), EVAL_CHUNK):
-        chunk = data[start:start + EVAL_CHUNK]
-        for idx, tokens, targets in _length_groups(chunk):
-            logits = model.forward(tokens)
-            total += ad.cross_entropy_logits(logits, targets).item()
-            y_pred[start + np.asarray(idx)] = np.argmax(logits.data, axis=1)
-            del logits  # free this graph before the next one is built
+    with ad.no_grad():
+        for start in range(0, len(data), EVAL_CHUNK):
+            chunk = data[start:start + EVAL_CHUNK]
+            for idx, tokens, targets in _length_groups(chunk):
+                logits = model.forward(tokens)
+                total += ad.cross_entropy_logits(logits, targets).item()
+                y_pred[start + np.asarray(idx)] = np.argmax(logits.data, axis=1)
     y_true = [label for _, label in data]
     return evaluate_predictions(y_true, y_pred, labels), total / len(data)

@@ -435,6 +435,127 @@ class TestOpSemantics:
             ad.cross_entropy_logits(rand_tensor((1, 3), 0), 3)
 
 
+class TestNoGrad:
+    def test_outputs_have_no_graph(self):
+        a, w, v = rand_tensor((2, 3, 4), 80), rand_tensor((4, 5), 81), rand_tensor((5,), 82)
+        with ad.no_grad():
+            outs = [ad.matmul(a, w), ad.matmul(a, w, bias=v), ad.add(a, a), ad.gelu(a),
+                    ad.layer_norm(a), ad.softmax_rows(a), ad.exp(a), ad.mean_rows(a)]
+        for out in outs:
+            assert out.requires_grad is False
+            assert out._parents == ()
+            assert out._backward is None
+        assert ad.matmul(a, w).requires_grad  # recording again after the block
+
+    def test_same_values_as_with_a_graph(self):
+        a, w, v = rand_tensor((2, 3, 4), 83), rand_tensor((4, 6), 84), rand_tensor((6,), 85)
+
+        def run():
+            h = ad.gelu(ad.matmul(a, w, bias=v))
+            return ad.softmax_rows(ad.layer_norm(h)).data
+
+        graph = run()
+        with ad.no_grad():
+            plain = run()
+        assert graph.tobytes() == plain.tobytes()
+
+    def test_mode_restored_after_exception(self):
+        a = rand_tensor((2, 2), 86)
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("body failed")
+        assert ad.exp(a).requires_grad
+
+    def test_nested_blocks_restore_in_order(self):
+        a = rand_tensor((2, 2), 87)
+        with ad.no_grad():
+            with ad.no_grad():
+                assert not ad.exp(a).requires_grad
+            assert not ad.exp(a).requires_grad  # the outer block still holds
+        assert ad.exp(a).requires_grad
+
+    def test_non_finite_outputs_still_rejected(self):
+        big = Tensor(np.full((2, 2), 400.0), requires_grad=True)
+        with ad.no_grad(), pytest.raises(NumericsError, match="exp"):
+            ad.exp(ad.exp(big))
+
+
+class TestGradientOwnership:
+    def test_shared_add_gradient_is_not_aliased(self):
+        # add hands one array to both parents; a later contribution to one
+        # parent must not show up in the other.
+        a, b = rand_tensor((3, 4), 90), rand_tensor((3, 4), 91)
+        doubled = ad.scale(a, 2.0)  # created first, so its adjoint runs after add's
+        out = ad.add(doubled, ad.add(a, b))
+        scalarize(out).backward()
+        # both adds pass on the same g: b keeps g, a gets g and then 2*g
+        assert not np.shares_memory(a.grad, b.grad)
+        np.testing.assert_allclose(a.grad, 3.0 * b.grad, rtol=1e-14)
+
+    def test_fresh_contribution_is_adopted(self):
+        x = Tensor(np.zeros((3, 4)), requires_grad=True)
+        g = np.random.default_rng(92).normal(size=(3, 4))
+        x.accumulate(g, fresh=True)
+        assert x.grad is g
+        y = Tensor(np.zeros((3, 4)), requires_grad=True)
+        y.accumulate(g)  # not fresh: copied
+        assert not np.shares_memory(y.grad, g)
+        np.testing.assert_array_equal(y.grad, g)
+
+    @pytest.mark.parametrize("fresh", [False, True])
+    def test_transposed_first_gradient_gets_data_layout(self, fresh):
+        x = Tensor(np.zeros((3, 4)), requires_grad=True)
+        g = np.random.default_rng(93).normal(size=(4, 3))
+        x.accumulate(g.T, fresh=fresh)
+        assert x.grad.flags.c_contiguous
+        assert not np.shares_memory(x.grad, g)
+        np.testing.assert_array_equal(x.grad, g.T)
+        # and a transposed data view gets a gradient buffer laid out like it
+        v = Tensor(np.zeros((4, 3)).T, requires_grad=True)
+        v.accumulate(np.ones((3, 4)), fresh=fresh)
+        assert v.grad.strides == np.empty_like(v.data).strides
+        assert not v.grad.flags.c_contiguous
+
+    def test_later_contributions_add(self):
+        x = Tensor(np.zeros((2, 2)), requires_grad=True)
+        g = np.ones((2, 2))
+        x.accumulate(g, fresh=True)
+        x.accumulate(np.full((2, 2), 2.0))
+        np.testing.assert_array_equal(x.grad, 3.0)
+
+
+class TestFusedBias:
+    @pytest.mark.parametrize("shape", [(4, 6), (3, 4, 6)])
+    def test_equals_add_rowvec_bit_for_bit(self, shape):
+        a, w, v = rand_tensor(shape, 100), rand_tensor((6, 5), 101), rand_tensor((5,), 102)
+        fused = ad.matmul(a, w, bias=v)
+        scalarize(fused).backward()
+        fused_grads = [t.grad.copy() for t in (a, w, v)]
+        zero_grad([a, w, v])
+        split = ad.add_rowvec(ad.matmul(a, w), v)
+        scalarize(split).backward()
+        assert fused.data.tobytes() == split.data.tobytes()
+        for got, t in zip(fused_grads, (a, w, v)):
+            assert got.tobytes() == t.grad.tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 6), (3, 4, 6)])
+    def test_gradients(self, shape):
+        a, w, v = rand_tensor(shape, 103), rand_tensor((6, 5), 104), rand_tensor((5,), 105)
+        err = grad_check(lambda: scalarize(ad.matmul(a, w, bias=v)), [a, w, v], h=1e-5)
+        assert err < 1e-6
+
+    def test_per_sample_stack_with_bias(self):
+        a, m, v = rand_tensor((2, 3, 4), 106), rand_tensor((2, 4, 5), 107), rand_tensor((5,), 108)
+        err = grad_check(lambda: scalarize(ad.matmul(a, m, bias=v)), [a, m, v], h=1e-5)
+        assert err < 1e-6
+
+    def test_bias_shape_checked(self):
+        a, w = rand_tensor((4, 6), 109), rand_tensor((6, 5), 110)
+        for bad in ((6,), (1, 5), (4,)):
+            with pytest.raises(ValueError, match="bias"):
+                ad.matmul(a, w, bias=rand_tensor(bad, 111))
+
+
 class TestGradCheckApi:
     def test_catalog_is_exactly_the_contract(self):
         assert sorted(op_catalog()) == sorted(

@@ -281,6 +281,15 @@ class TestExitCodes:
         assert err.startswith("tdafault: ") and err.count("\n") == 1, err
         assert "period must be >= 2" in err
 
+    def test_decompose_period_with_hint_is_usage_error(self, chain, tmp_path, capsys):
+        out = tmp_path / "d"
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--store", str(chain["store"]), "--out", str(out),
+                  "--period", "70", "--period-hint-hz", HINT])
+        assert exc.value.code == EXIT_USAGE
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("verb", ["featurize", "decompose"])
     @pytest.mark.parametrize("hint", ["nan", "inf", "-inf", "1e-320"])
     def test_period_hint_without_a_finite_period_is_data_error(self, chain, tmp_path, capsys,

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tdafault.autodiff as ad
 from tdafault.autodiff import grad_check
 from tdafault.model import ModelConfig, TdaEncoder, sinusoidal_positions
 
@@ -160,6 +161,26 @@ class TestDropout:
             np.testing.assert_allclose(
                 out[i], single.forward(batch[i], training=True).data[0], rtol=1e-14, atol=1e-15)
 
+    def test_one_draw_equals_per_sequence_draws(self):
+        # The batch's masks come from one draw; they must be the masks that
+        # drawing (T, d_model) per sequence and site, in that order, gives.
+        cfg = ModelConfig(**dict(TINY, layers=2, t_max=16, dropout_rate=0.3), seed=8)
+        lengths = [16, 12, 16]
+        masks = TdaEncoder(cfg).dropout_masks(lengths)
+        rng = np.random.default_rng([cfg.seed, 0xD0])
+        assert [len(m) for m in masks] == [2 * cfg.layers] * len(lengths)
+        for per_seq, t_len in zip(masks, lengths):
+            for mask in per_seq:
+                want = (rng.random((t_len, cfg.d_model)) >= 0.3) / 0.7
+                assert mask.shape == want.shape
+                assert mask.tobytes() == want.tobytes()
+
+    def test_zero_rate_draws_nothing(self):
+        model = TdaEncoder(ModelConfig(**TINY, seed=7))
+        state = model._dropout_rng.bit_generator.state
+        assert model.dropout_masks([4, 3]) == [[], []]
+        assert model._dropout_rng.bit_generator.state == state
+
     def test_zero_rate_is_noop_in_training(self):
         model = TdaEncoder(ModelConfig(**TINY, seed=7))
         toks = tokens_for(4)
@@ -306,6 +327,21 @@ class TestModelGradients:
         # positions beyond the sequence length get zero gradient
         g = model.layers[0]["attn.a_trend"].grad
         np.testing.assert_array_equal(g[:, 6:], 0.0)
+
+
+class TestInference:
+    def test_logits_build_no_graph_and_match_graph_logits(self):
+        model = TdaEncoder(ModelConfig(seed=4))
+        tokens = tokens_for(16, seed=2)
+        graph = model.forward(tokens)
+        assert graph.requires_grad
+        plain = model.logits(tokens)
+        assert plain.tobytes() == graph.data[0].tobytes()
+        assert model.predict(tokens) == int(np.argmax(graph.data[0]))
+        with ad.no_grad():
+            out = model.forward(tokens)
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        assert out.data.tobytes() == graph.data.tobytes()
 
 
 class TestGraphLifetime:

@@ -122,6 +122,23 @@ class TestAdam:
                 np.sqrt(v / (1.0 - cfg.beta2 ** t)) + cfg.eps)
         np.testing.assert_allclose(p.data, ref, atol=1e-15)
 
+    def test_in_place_step_is_bit_identical_to_the_formula(self):
+        rng = np.random.default_rng(12)
+        w0 = rng.normal(size=(4, 5))
+        p = Tensor(w0.copy(), requires_grad=True)
+        cfg = TrainConfig(learning_rate=0.003)
+        opt = Adam({"w": p}, cfg)
+        ref, m, v = w0.copy(), np.zeros_like(w0), np.zeros_like(w0)
+        for t in range(1, 6):
+            g = rng.normal(size=w0.shape)
+            p.grad = g.copy()
+            opt.step()
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+            ref -= cfg.learning_rate * (m / (1.0 - cfg.beta1 ** t)) / (
+                np.sqrt(v / (1.0 - cfg.beta2 ** t)) + cfg.eps)
+            assert p.data.tobytes() == ref.tobytes()
+
     def test_missing_gradient_leaves_parameter_alone(self):
         live = Tensor(np.ones((1, 1)), requires_grad=True)
         live.grad = np.ones((1, 1))
@@ -239,3 +256,14 @@ class TestEvaluate:
         model = TdaEncoder(ModelConfig(seed=0, **TINY))
         with pytest.raises(ValueError):
             evaluate(model, [], ("a", "b", "c"))
+
+    def test_leaves_parameter_gradients_untouched(self):
+        model = TdaEncoder(ModelConfig(seed=5, **TINY))
+        data = ragged_dataset(seed=7)
+        params = model.parameters()
+        tokens, label = data[0]
+        model.loss(tokens, label).backward()
+        before = {k: p.grad.copy() for k, p in params.items()}
+        evaluate(model, data, ("a", "b", "c"))
+        for k, p in params.items():
+            assert p.grad.tobytes() == before[k].tobytes(), k
