@@ -499,9 +499,6 @@ def gelu(a: Tensor) -> Tensor:
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    if not (_GRAD_ENABLED.get() and a.requires_grad):  # no adjoint keeps cdf
-        cdf *= x
-        return _make(cdf, (a,), "gelu")
 
     def backward(out):
         # g * (cdf + x * pdf), pdf = exp(-x^2 / 2) / sqrt(2 pi), in one buffer

@@ -59,8 +59,11 @@ class Adam:
         self.t = 0
         self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
-        # two scratch buffers per parameter, so a step allocates nothing
-        self._scratch = {k: (np.empty_like(p.data), np.empty_like(p.data))
+        # each parameter's scratch pair is a view of one pair of buffers
+        # sized to the largest parameter, so a step allocates nothing
+        size = max((p.data.size for p in params.values()), default=0)
+        pair = (np.empty(size), np.empty(size))
+        self._scratch = {k: tuple(b[:p.data.size].reshape(p.data.shape) for b in pair)
                          for k, p in params.items()}
 
     def step(self) -> None:

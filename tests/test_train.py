@@ -123,21 +123,27 @@ class TestAdam:
         np.testing.assert_allclose(p.data, ref, atol=1e-15)
 
     def test_in_place_step_is_bit_identical_to_the_formula(self):
+        # parameters of different shapes share one scratch pair
         rng = np.random.default_rng(12)
-        w0 = rng.normal(size=(4, 5))
-        p = Tensor(w0.copy(), requires_grad=True)
+        shapes = {"w": (4, 5), "b": (3,), "e": (2, 3, 2)}
+        w0 = {k: rng.normal(size=s) for k, s in shapes.items()}
+        params = {k: Tensor(w.copy(), requires_grad=True) for k, w in w0.items()}
         cfg = TrainConfig(learning_rate=0.003)
-        opt = Adam({"w": p}, cfg)
-        ref, m, v = w0.copy(), np.zeros_like(w0), np.zeros_like(w0)
+        opt = Adam(params, cfg)
+        ref = {k: w.copy() for k, w in w0.items()}
+        m = {k: np.zeros_like(w) for k, w in w0.items()}
+        v = {k: np.zeros_like(w) for k, w in w0.items()}
         for t in range(1, 6):
-            g = rng.normal(size=w0.shape)
-            p.grad = g.copy()
+            grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+            for k, p in params.items():
+                p.grad = grads[k].copy()
             opt.step()
-            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-            v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-            ref -= cfg.learning_rate * (m / (1.0 - cfg.beta1 ** t)) / (
-                np.sqrt(v / (1.0 - cfg.beta2 ** t)) + cfg.eps)
-            assert p.data.tobytes() == ref.tobytes()
+            for k, g in grads.items():
+                m[k] = cfg.beta1 * m[k] + (1.0 - cfg.beta1) * g
+                v[k] = cfg.beta2 * v[k] + (1.0 - cfg.beta2) * g * g
+                ref[k] -= cfg.learning_rate * (m[k] / (1.0 - cfg.beta1 ** t)) / (
+                    np.sqrt(v[k] / (1.0 - cfg.beta2 ** t)) + cfg.eps)
+                assert params[k].data.tobytes() == ref[k].tobytes()
 
     def test_missing_gradient_leaves_parameter_alone(self):
         live = Tensor(np.ones((1, 1)), requires_grad=True)
