@@ -75,18 +75,24 @@ def _stamp(args) -> str | None:
     return None
 
 
-def _config_section(args, name: str) -> dict:
-    if not args.config:
-        return {}
-    cfg = _load_json_object(args.config, "config file")
-    section = cfg.get(name, {})
+def _load_config(args) -> dict:
+    """The ``--config`` file's sections, or ``{}`` without one."""
+    return _load_json_object(args.config, "config file") if args.config else {}
+
+
+def _config_section(config: dict, name: str) -> dict:
+    section = config.get(name, {})
     if not isinstance(section, dict):
         raise ValueError(f"config section {name!r} must be a JSON object")
     return dict(section)
 
 
-def _defaults(cls) -> dict:
-    return {f.name: f.default for f in fields(cls)}
+def _defaults(cls, *set_by_verb: str) -> dict:
+    """``cls``'s settings and defaults, less those the verb itself sets.
+
+    A config key that names a setting left out here is reported as unknown.
+    """
+    return {f.name: f.default for f in fields(cls) if f.name not in set_by_verb}
 
 
 def _merged(section: dict, defaults: dict, **flag_overrides) -> dict:
@@ -113,8 +119,8 @@ def _merged(section: dict, defaults: dict, **flag_overrides) -> dict:
 
 def _cmd_synth(args) -> int:
     kwargs = _merged(
-        _config_section(args, "synth"),
-        _defaults(SynthConfig),
+        _config_section(_load_config(args), "synth"),
+        _defaults(SynthConfig, "seed"),
         sample_rate_hz=args.fs,
         duration_s=args.duration,
         recordings_per_class=args.recordings,
@@ -210,10 +216,22 @@ def _load_features(dirpath) -> tuple[dict, dict, Standardizer]:
     manifest = _load_json_object(dirpath / "manifest.json", "features manifest")
     if manifest.get("format") != FEATURES_FORMAT:
         raise ValueError(f"unrecognized features format {manifest.get('format')!r}")
+    n_labels = len(manifest["labels"])
     splits = {}
     for which in _SPLITS:
-        x = np.load(dirpath / f"X_{which}.npy")
-        y = np.load(dirpath / f"y_{which}.npy")
+        x_path, y_path = dirpath / f"X_{which}.npy", dirpath / f"y_{which}.npy"
+        x, y = np.load(x_path), np.load(y_path)
+        if x.ndim != 3 or x.dtype != np.float64:
+            raise ValueError(f"{x_path}: expected a 3-D float64 array, got {x.ndim}-D {x.dtype}")
+        if not np.isfinite(x).all():
+            raise ValueError(f"{x_path}: tokens must be finite")
+        if y.ndim != 1 or not np.issubdtype(y.dtype, np.integer) or len(y) != len(x):
+            raise ValueError(
+                f"{y_path}: expected a 1-D integer array of {len(x)} labels, "
+                f"got shape {y.shape} {y.dtype}"
+            )
+        if len(y) and not (0 <= y.min() and y.max() < n_labels):
+            raise ValueError(f"{y_path}: labels must lie in [0, {n_labels})")
         splits[which] = [(x[i], int(y[i])) for i in range(x.shape[0])]
     standardizer = Standardizer.from_dict(
         _load_json_object(dirpath / "standardizer.json", "standardizer")
@@ -223,7 +241,7 @@ def _load_features(dirpath) -> tuple[dict, dict, Standardizer]:
 
 def _cmd_featurize(args) -> int:
     kwargs = _merged(
-        _config_section(args, "features"),
+        _config_section(_load_config(args), "features"),
         {"window_len": WindowSpec.length, "stride": WindowSpec.stride,
          "ma_window": MaConfig.window, **_defaults(SplitConfig)},
         window_len=args.window_len,
@@ -262,10 +280,11 @@ def _cmd_train(args) -> int:
     manifest, splits, _ = _load_features(args.features)
     labels = manifest["labels"]
     segment_len = manifest["split"]["segment_len"]
+    config = _load_config(args)
 
     model_kwargs = _merged(
-        _config_section(args, "model"),
-        _defaults(ModelConfig),
+        _config_section(config, "model"),
+        _defaults(ModelConfig, "n_classes", "seed"),
         d_model=args.d_model,
         heads=args.heads,
         layers=args.layers,
@@ -278,8 +297,8 @@ def _cmd_train(args) -> int:
     model_cfg = ModelConfig(**model_kwargs)
 
     train_kwargs = _merged(
-        _config_section(args, "train"),
-        _defaults(TrainConfig),
+        _config_section(config, "train"),
+        _defaults(TrainConfig, "seed"),
         learning_rate=args.lr,
         batch_size=args.batch_size,
         max_epochs=args.epochs,

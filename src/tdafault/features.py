@@ -13,7 +13,7 @@ autocorrelation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -121,27 +121,13 @@ class Standardizer:
 
 @dataclass
 class TokenSequence:
-    """T x F token matrix for one recording plus channel bookkeeping."""
+    """T x F token matrix for one recording, with its label."""
 
     tokens: np.ndarray
-    channel_map: dict[str, tuple[int, int]] = field(default_factory=lambda: dict(CHANNEL_MAP))
     label: str | None = None
-    standardization: Standardizer | None = None
 
     def __len__(self) -> int:
         return self.tokens.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.tokens.shape[1]
-
-    def standardized(self, standardizer: Standardizer) -> "TokenSequence":
-        return TokenSequence(
-            tokens=standardizer.transform(self.tokens),
-            channel_map=dict(self.channel_map),
-            label=self.label,
-            standardization=standardizer,
-        )
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

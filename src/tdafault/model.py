@@ -164,27 +164,23 @@ class TdaEncoder:
         w, b = self.embed[f"embed.{name}.w"], self.embed[f"embed.{name}.b"]
         return ad.matmul(Tensor(tokens[..., lo:hi]), w, bias=b)
 
-    def dropout_masks(self, lengths) -> list[list[np.ndarray]]:
-        """Scaled keep-masks for a training batch, one list per sequence.
+    def dropout_masks(self, n_batch: int, t_len: int) -> list[np.ndarray]:
+        """Scaled dropout keep-masks for a training batch of ``n_batch`` x ``t_len`` tokens.
 
-        Each sequence of length ``T`` gets a ``(T, d_model)`` mask per layer
-        for the attention output, then one for the FFN output.  The batch
-        takes one draw from the dropout stream, split by sequence in batch
-        order, then by site, then into ``(T, d_model)`` blocks, so it consumes
-        the stream exactly as running its sequences one at a time does.  The
-        lists are empty when the dropout rate is 0.
+        One ``(t_len, d_model)`` mask per sequence for each site: per layer, the
+        attention output and then the FFN output.  The batch takes one draw
+        of shape ``(n_batch, sites, t_len, d_model)``, so it consumes the
+        dropout stream sequence by sequence and then site by site, exactly as
+        running its sequences one at a time does.  Returns one C-contiguous
+        ``(n_batch, t_len, d_model)`` mask per site, or an empty list when the
+        dropout rate is 0.
         """
         rate = self.cfg.dropout_rate
         if rate == 0.0:
-            return [[] for _ in lengths]
-        sites, width = 2 * self.cfg.layers, self.cfg.d_model
-        sizes = [sites * t_len * width for t_len in lengths]
-        draw = self._dropout_rng.random(sum(sizes))
+            return []
+        draw = self._dropout_rng.random((n_batch, 2 * self.cfg.layers, t_len, self.cfg.d_model))
         keep = np.divide(draw >= rate, 1.0 - rate, out=draw)
-        return [
-            list(block.reshape(sites, t_len, width))
-            for block, t_len in zip(np.split(keep, np.cumsum(sizes)[:-1]), lengths)
-        ]
+        return list(np.ascontiguousarray(keep.swapaxes(0, 1)))
 
     @staticmethod
     def _dropout(t: Tensor, drop: list, site: int) -> Tensor:
@@ -212,21 +208,16 @@ class TdaEncoder:
                 out = branch if out is None else ad.add(out, branch)
         return ad.matmul(ad.merge_heads(out, heads), layer["attn.w_o"])
 
-    def forward(self, tokens: np.ndarray, training: bool = False, masks=None) -> Tensor:
+    def forward(self, tokens: np.ndarray, training: bool = False) -> Tensor:
         """Run the encoder; returns the (B, n_classes) logits as a Tensor.
 
         ``tokens`` is a (B, T, F) batch of equal-length sequences, or one
-        (T, F) sequence, which is the batch B = 1.  In training mode dropout
-        uses ``masks`` from :meth:`dropout_masks` when given (a batch cut out
-        of a larger one) and otherwise draws this batch's own.
+        (T, F) sequence, which is the batch B = 1.  In training mode the
+        batch draws its dropout masks with :meth:`dropout_masks`.
         """
         tokens = self._check_tokens(tokens)
         n_batch, t_len = tokens.shape[:2]
-        drop = []
-        if training:
-            if masks is None:
-                masks = self.dropout_masks([t_len] * n_batch)
-            drop = [np.stack(site) for site in zip(*masks)]
+        drop = self.dropout_masks(n_batch, t_len) if training else []
 
         x = self._embed_channel(tokens, "residual")
         x = ad.add(x, Tensor(np.broadcast_to(self.pe[:t_len], x.shape)))

@@ -2,12 +2,12 @@
 
 Optimization is Adam with bias correction.  Each minibatch is one graph
 with one backward pass: the sum of its per-sample losses scaled by 1/batch.
-A batch whose sequences differ in length runs as equal-length groups inside
-that graph.  Epochs shuffle with a generator seeded from the run seed, and
-early stopping tracks validation loss (scored by :func:`evaluate`) with a
-patience window; the parameters that scored the best validation loss are
-restored at the end.  Given the same seed, data, and configs, two runs
-produce bit-identical histories and parameters.
+The sequences of a dataset must all have one length; each dataset is
+stacked once into a ``(N, T, F)`` array.  Epochs shuffle with a generator
+seeded from the run seed, and early stopping tracks validation loss (scored
+by :func:`evaluate`) with a patience window; the parameters that scored the
+best validation loss are restored at the end.  Given the same seed, data,
+and configs, two runs produce bit-identical histories and parameters.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .metrics import EvalReport, evaluate_predictions
 from .model import TdaEncoder
 
 __all__ = ["TrainConfig", "TrainResult", "Adam", "train", "evaluate"]
-
-Example = tuple[np.ndarray, int]  # (tokens (T, F), class index)
 
 EVAL_CHUNK = 32  # sequences per forward pass in evaluate
 
@@ -117,33 +115,21 @@ class TrainResult:
         }
 
 
-def _length_groups(examples) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
-    """Split examples into equal-length groups, in order of first appearance.
-
-    Each group is (positions in ``examples``, stacked (B, T, F) tokens,
-    labels).
-    """
-    groups: dict[int, list[int]] = {}
-    for i, (tokens, _) in enumerate(examples):
-        groups.setdefault(len(tokens), []).append(i)
-    return [
-        (idx, np.stack([examples[i][0] for i in idx]), np.array([examples[i][1] for i in idx]))
-        for idx in groups.values()
-    ]
+def _stack(examples) -> tuple[np.ndarray, np.ndarray]:
+    """Stack ``(tokens, label)`` examples into ``(N, T, F)`` tokens and ``(N,)`` labels."""
+    lengths = sorted({len(tokens) for tokens, _ in examples})
+    if len(lengths) > 1:
+        raise ValueError(f"sequences must all have one length, got lengths {lengths}")
+    return np.stack([tokens for tokens, _ in examples]), np.array([lab for _, lab in examples])
 
 
-def _backward_batch(model: TdaEncoder, batch) -> float:
+def _backward_batch(model: TdaEncoder, tokens: np.ndarray, labels: np.ndarray) -> float:
     """Back-propagate one minibatch as a single graph; returns its summed loss.
 
     The graph is freed on return, before the next batch builds its own.
     """
-    masks = model.dropout_masks([len(tokens) for tokens, _ in batch])
-    loss = None
-    for idx, tokens, labels in _length_groups(batch):
-        logits = model.forward(tokens, training=True, masks=[masks[i] for i in idx])
-        group_loss = ad.cross_entropy_logits(logits, labels)
-        loss = group_loss if loss is None else ad.add(loss, group_loss)
-    ad.scale(loss, 1.0 / len(batch)).backward()
+    loss = ad.cross_entropy_logits(model.forward(tokens, training=True), labels)
+    ad.scale(loss, 1.0 / len(labels)).backward()
     return loss.item()
 
 
@@ -151,6 +137,7 @@ def train(model: TdaEncoder, train_data, val_data, cfg: TrainConfig) -> TrainRes
     """Fit ``model`` in place; returns the per-epoch history and best epoch."""
     if len(train_data) == 0 or len(val_data) == 0:
         raise ValueError("train and validation sets must be non-empty")
+    tokens, labels = _stack(train_data)
     params = model.parameters()
     opt = Adam(params, cfg)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
@@ -160,13 +147,12 @@ def train(model: TdaEncoder, train_data, val_data, cfg: TrainConfig) -> TrainRes
     bad_epochs = 0
 
     for epoch in range(cfg.max_epochs):
-        order = shuffle_rng.permutation(len(train_data))
+        order = shuffle_rng.permutation(len(labels))
         running = 0.0
         for start in range(0, len(order), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
             ad.zero_grad(params.values())
-            running += _backward_batch(
-                model, [train_data[j] for j in order[start:start + cfg.batch_size]]
-            )
+            running += _backward_batch(model, tokens[batch], labels[batch])
             opt.step()
 
         report, val_loss = evaluate(model, val_data, range(model.cfg.n_classes))
@@ -199,21 +185,19 @@ def train(model: TdaEncoder, train_data, val_data, cfg: TrainConfig) -> TrainRes
 def evaluate(model: TdaEncoder, data, labels) -> tuple[EvalReport, float]:
     """Score a dataset; returns the metric report and the mean loss.
 
-    Sequences run through the batched forward in chunks of
-    ``EVAL_CHUNK``, each split into equal-length groups, under
-    :func:`~tdafault.autodiff.no_grad`: no graph is built and parameter
-    gradients are left as they are.
+    Sequences run through the batched forward in chunks of ``EVAL_CHUNK``
+    under :func:`~tdafault.autodiff.no_grad`: no graph is built and
+    parameter gradients are left as they are.
     """
     if len(data) == 0:
         raise ValueError("cannot evaluate an empty dataset")
-    y_pred = np.empty(len(data), dtype=np.int64)
+    tokens, y_true = _stack(data)
+    y_pred = np.empty(len(y_true), dtype=np.int64)
     total = 0.0
     with ad.no_grad():
-        for start in range(0, len(data), EVAL_CHUNK):
-            chunk = data[start:start + EVAL_CHUNK]
-            for idx, tokens, targets in _length_groups(chunk):
-                logits = model.forward(tokens)
-                total += ad.cross_entropy_logits(logits, targets).item()
-                y_pred[start + np.asarray(idx)] = np.argmax(logits.data, axis=1)
-    y_true = [label for _, label in data]
-    return evaluate_predictions(y_true, y_pred, labels), total / len(data)
+        for start in range(0, len(y_true), EVAL_CHUNK):
+            chunk = slice(start, start + EVAL_CHUNK)
+            logits = model.forward(tokens[chunk])
+            total += ad.cross_entropy_logits(logits, y_true[chunk]).item()
+            y_pred[chunk] = np.argmax(logits.data, axis=1)
+    return evaluate_predictions(y_true, y_pred, labels), total / len(y_true)

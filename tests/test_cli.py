@@ -310,6 +310,33 @@ class TestExitCodes:
 
     # overflow inside matmul is the expected route to the NumericsError
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("verb, name, fault", [
+        ("eval", "y_test.npy", lambda x, y: (x, y[:-3])),
+        ("train", "y_train.npy", lambda x, y: (x, y + 0.5)),
+        ("train", "y_train.npy", lambda x, y: (x, y[:, None])),
+        ("train", "y_val.npy", lambda x, y: (x, y + 10)),
+        ("train", "y_val.npy", lambda x, y: (x, y - 1)),
+        ("eval", "X_test.npy", lambda x, y: (x[0], y)),
+        ("train", "X_train.npy", lambda x, y: (x.astype(np.float32), y)),
+        ("train", "X_val.npy", lambda x, y: (np.where(x > 1.0, np.nan, x), y)),
+    ], ids=["short-labels", "float-labels", "2d-labels", "label-too-big", "negative-label",
+            "2d-tokens", "float32-tokens", "nan-tokens"])
+    def test_malformed_features_array_is_data_error(self, chain, tmp_path, capsys,
+                                                    verb, name, fault):
+        feats = tmp_path / "feats"
+        shutil.copytree(chain["feats"], feats)
+        split = name[2:-4]
+        x, y = fault(np.load(feats / f"X_{split}.npy"), np.load(feats / f"y_{split}.npy"))
+        np.save(feats / f"X_{split}.npy", x)
+        np.save(feats / f"y_{split}.npy", y)
+        extra = {"train": ["--epochs", "1"],
+                 "eval": ["--checkpoint", str(chain["model"] / "checkpoint.json")]}[verb]
+        code = main([verb, "--features", str(feats), "--out", str(tmp_path / "o"), *extra])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("tdafault: ") and err.count("\n") == 1, err
+        assert name in err
+
     def test_huge_learning_rate_is_numeric_error(self, chain, tmp_path, capsys):
         code = main(["train", "--features", str(chain["feats"]),
                      "--out", str(tmp_path / "m"), "--lr", "1e300",
@@ -351,6 +378,39 @@ class TestConfigFile:
         code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s")])
         assert code == EXIT_DATA
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb, section, key", [
+        ("synth", "synth", "seed"),
+        ("train", "model", "seed"),
+        ("train", "model", "n_classes"),
+        ("train", "train", "seed"),
+    ])
+    def test_config_key_the_verb_sets_is_unknown(self, chain, tmp_path, capsys,
+                                                 verb, section, key):
+        # --seed and the features' label count set these; a config value
+        # would be silently overwritten
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {key: 3}}))
+        source = {"synth": [], "train": ["--features", str(chain["feats"])]}[verb]
+        code = main([verb, "--config", str(cfg), *source, "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("tdafault: ") and err.count("\n") == 1, err
+        assert "unknown config keys" in err and repr(key) in err
+
+    def test_train_reads_the_config_file_once(self, chain, tmp_path, monkeypatch):
+        load, reads = tdafault.cli._load_json_object, []
+        monkeypatch.setattr(tdafault.cli, "_load_json_object",
+                            lambda path, what: reads.append(what) or load(path, what))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"d_model": 8, "d_k": 4, "d_v": 4},
+                                   "train": {"max_epochs": 1}}))
+        assert main(["train", "--config", str(cfg), "--features", str(chain["feats"]),
+                     "--out", str(tmp_path / "m")]) == EXIT_OK
+        assert reads.count("config file") == 1
+        manifest = json.loads((tmp_path / "m" / "train_manifest.json").read_text())
+        assert manifest["model_config"]["d_model"] == 8
+        assert manifest["train_config"]["max_epochs"] == 1
 
     def test_unknown_featurize_config_key_is_data_error(self, chain, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -11,7 +11,6 @@ from tdafault.features import (
     CHANNEL_MAP,
     FEATURE_NAMES,
     Standardizer,
-    TokenSequence,
     WindowSpec,
     featurize,
     kurtosis_excess,
@@ -163,12 +162,11 @@ class TestFeaturize:
 
     def test_channel_map_partitions_features(self, decomp):
         seq = featurize(decomp, WindowSpec(length=128, stride=64))
-        spans = sorted(seq.channel_map.values())
+        spans = sorted(CHANNEL_MAP.values())
         assert spans[0][0] == 0
-        assert spans[-1][1] == seq.n_features == len(FEATURE_NAMES)
+        assert spans[-1][1] == seq.tokens.shape[1] == len(FEATURE_NAMES)
         for (_, hi), (lo, _) in zip(spans, spans[1:]):
             assert hi == lo
-        assert seq.channel_map == CHANNEL_MAP
 
     def test_trivial_components_token(self):
         # Zero residual & seasonal with constant trend c -> [0]*5 + [c,0,0,0]
@@ -222,12 +220,3 @@ class TestStandardizer:
         np.testing.assert_array_equal(s.mean, s2.mean)
         np.testing.assert_array_equal(s.std, s2.std)
         np.testing.assert_array_equal(s.constant_mask, s2.constant_mask)
-
-    def test_token_sequence_standardized(self):
-        tokens = np.random.default_rng(4).normal(size=(20, 9))
-        seq = TokenSequence(tokens=tokens, label="x")
-        s = Standardizer.fit(tokens)
-        z = seq.standardized(s)
-        np.testing.assert_allclose(z.tokens, s.transform(tokens), atol=0)
-        assert z.standardization is s
-        assert z.label == "x"

@@ -165,20 +165,22 @@ class TestDropout:
         # The batch's masks come from one draw; they must be the masks that
         # drawing (T, d_model) per sequence and site, in that order, gives.
         cfg = ModelConfig(**dict(TINY, layers=2, t_max=16, dropout_rate=0.3), seed=8)
-        lengths = [16, 12, 16]
-        masks = TdaEncoder(cfg).dropout_masks(lengths)
+        n_batch, t_len = 3, 12
+        masks = TdaEncoder(cfg).dropout_masks(n_batch, t_len)
         rng = np.random.default_rng([cfg.seed, 0xD0])
-        assert [len(m) for m in masks] == [2 * cfg.layers] * len(lengths)
-        for per_seq, t_len in zip(masks, lengths):
-            for mask in per_seq:
+        assert len(masks) == 2 * cfg.layers
+        for mask in masks:
+            assert mask.shape == (n_batch, t_len, cfg.d_model)
+            assert mask.flags.c_contiguous
+        for b in range(n_batch):
+            for mask in masks:
                 want = (rng.random((t_len, cfg.d_model)) >= 0.3) / 0.7
-                assert mask.shape == want.shape
-                assert mask.tobytes() == want.tobytes()
+                assert mask[b].tobytes() == want.tobytes()
 
     def test_zero_rate_draws_nothing(self):
         model = TdaEncoder(ModelConfig(**TINY, seed=7))
         state = model._dropout_rng.bit_generator.state
-        assert model.dropout_masks([4, 3]) == [[], []]
+        assert model.dropout_masks(2, 4) == []
         assert model._dropout_rng.bit_generator.state == state
 
     def test_zero_rate_is_noop_in_training(self):

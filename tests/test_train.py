@@ -24,13 +24,13 @@ def toy_dataset(n_per_class=6, t_len=6, n_classes=3, seed=0):
     return out
 
 
-def ragged_dataset(n=10, n_classes=3, seed=0):
-    """Separable sequences of 3 to 6 tokens, so batches mix lengths."""
+def cycled_dataset(n=10, t_len=5, n_classes=3, seed=0):
+    """``n`` separable sequences of one length; class ``i % n_classes`` for the i-th."""
     rng = np.random.default_rng(seed)
     out = []
     for i in range(n):
         c = i % n_classes
-        tokens = rng.normal(0.0, 0.3, (int(rng.integers(3, 7)), 9))
+        tokens = rng.normal(0.0, 0.3, (t_len, 9))
         tokens[:, c] += 3.0
         out.append((tokens, c))
     return out
@@ -215,9 +215,9 @@ class TestTrainLoop:
         assert len(result.history) == 2
 
     def test_batched_matches_per_sample_loop(self):
-        # Batches of 4 over 10 sequences of mixed lengths: every batch is
-        # split into length groups and the last batch is ragged (2).
-        train_data, val_data = ragged_dataset(seed=1), ragged_dataset(n=7, seed=2)
+        # Batches of 4 over 10 sequences, so the last batch is ragged (2);
+        # dropout must see the masks that one sequence at a time would.
+        train_data, val_data = cycled_dataset(seed=1), cycled_dataset(n=7, seed=2)
         model_cfg = ModelConfig(seed=4, **dict(TINY, dropout_rate=0.1))
         cfg = TrainConfig(learning_rate=1e-2, batch_size=4, max_epochs=4, patience=4, seed=3)
         batched, reference = TdaEncoder(model_cfg), TdaEncoder(model_cfg)
@@ -240,6 +240,16 @@ class TestTrainLoop:
             train(model, [], data, TrainConfig())
         with pytest.raises(ValueError):
             train(model, data, [], TrainConfig())
+
+    def test_mixed_lengths_rejected(self):
+        model = TdaEncoder(ModelConfig(seed=0, **TINY))
+        data = cycled_dataset(n=3, t_len=5) + cycled_dataset(n=2, t_len=4)
+        with pytest.raises(ValueError, match=r"lengths \[4, 5\]"):
+            train(model, data, cycled_dataset(n=3), TrainConfig(max_epochs=1))
+        with pytest.raises(ValueError, match=r"lengths \[4, 5\]"):
+            train(model, cycled_dataset(n=3), data, TrainConfig(max_epochs=1))
+        with pytest.raises(ValueError, match=r"lengths \[4, 5\]"):
+            evaluate(model, data, ("a", "b", "c"))
 
 
 class TestEvaluate:
@@ -265,7 +275,7 @@ class TestEvaluate:
 
     def test_leaves_parameter_gradients_untouched(self):
         model = TdaEncoder(ModelConfig(seed=5, **TINY))
-        data = ragged_dataset(seed=7)
+        data = cycled_dataset(seed=7)
         params = model.parameters()
         tokens, label = data[0]
         model.loss(tokens, label).backward()
