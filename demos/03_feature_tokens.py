@@ -29,7 +29,7 @@ print(f"{'class':<12}" + "".join(f"{SHORT[name]:>9}" for name in FEATURE_NAMES))
 
 sums = {i: np.zeros(len(FEATURE_NAMES)) for i in range(len(dataset.labels))}
 counts = {i: 0 for i in range(len(dataset.labels))}
-for tokens, label in dataset.train:
+for tokens, label in zip(dataset.train.tokens, dataset.train.labels):
     sums[label] += tokens.mean(axis=0)
     counts[label] += 1
 

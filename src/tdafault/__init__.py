@@ -28,6 +28,7 @@ from .data import (
     CLASS_ORDER,
     FAULT_CLASSES,
     DatasetSplits,
+    Examples,
     FaultClass,
     SplitConfig,
     SynthConfig,
@@ -83,7 +84,7 @@ __all__ = [
     "ConfusionMatrix", "EvalReport", "confusion_matrix", "evaluate_predictions",
     # data
     "FaultClass", "FAULT_CLASSES", "CLASS_ORDER", "SynthConfig", "SplitConfig",
-    "DatasetSplits", "gen_recording", "gen_synthetic", "build_dataset",
+    "Examples", "DatasetSplits", "gen_recording", "gen_synthetic", "build_dataset",
     "save_recordings", "load_recordings", "load_recording_csv", "load_recordings_mat",
     # file formats
     "MatArray", "MatFormatError", "parse_mat", "read_mat", "write_mat",

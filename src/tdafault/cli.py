@@ -30,20 +30,22 @@ import numpy as np
 from .autodiff import NumericsError
 from .data import (
     FAULT_CLASSES,
-    FEATURES_FORMAT,
+    SPLITS,
     SplitConfig,
     SynthConfig,
     _dump_json,
     _load_json_object,
     build_dataset,
     gen_synthetic,
+    load_features,
     load_recording_csv,
     load_recordings,
     load_recordings_mat,
+    save_features,
     save_recordings,
 )
 from .decompose import decompose_additive, estimate_period
-from .features import Standardizer, WindowSpec
+from .features import WindowSpec
 from .matio import MatFormatError
 from .metrics import ConfusionMatrix, EvalReport
 from .model import ModelConfig, TdaEncoder
@@ -57,8 +59,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-_SPLITS = ("train", "val", "test")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -198,47 +198,6 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _save_features(outdir: Path, dataset) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
-    for which in _SPLITS:
-        examples = dataset.split(which)
-        np.save(outdir / f"X_{which}.npy", np.stack([tok for tok, _ in examples]))
-        np.save(
-            outdir / f"y_{which}.npy",
-            np.array([lab for _, lab in examples], dtype=np.int64),
-        )
-    _dump_json(outdir / "standardizer.json", dataset.standardizer.to_dict())
-    _dump_json(outdir / "manifest.json", dataset.manifest)
-
-
-def _load_features(dirpath) -> tuple[dict, dict, Standardizer]:
-    dirpath = Path(dirpath)
-    manifest = _load_json_object(dirpath / "manifest.json", "features manifest")
-    if manifest.get("format") != FEATURES_FORMAT:
-        raise ValueError(f"unrecognized features format {manifest.get('format')!r}")
-    n_labels = len(manifest["labels"])
-    splits = {}
-    for which in _SPLITS:
-        x_path, y_path = dirpath / f"X_{which}.npy", dirpath / f"y_{which}.npy"
-        x, y = np.load(x_path), np.load(y_path)
-        if x.ndim != 3 or x.dtype != np.float64:
-            raise ValueError(f"{x_path}: expected a 3-D float64 array, got {x.ndim}-D {x.dtype}")
-        if not np.isfinite(x).all():
-            raise ValueError(f"{x_path}: tokens must be finite")
-        if y.ndim != 1 or not np.issubdtype(y.dtype, np.integer) or len(y) != len(x):
-            raise ValueError(
-                f"{y_path}: expected a 1-D integer array of {len(x)} labels, "
-                f"got shape {y.shape} {y.dtype}"
-            )
-        if len(y) and not (0 <= y.min() and y.max() < n_labels):
-            raise ValueError(f"{y_path}: labels must lie in [0, {n_labels})")
-        splits[which] = [(x[i], int(y[i])) for i in range(x.shape[0])]
-    standardizer = Standardizer.from_dict(
-        _load_json_object(dirpath / "standardizer.json", "standardizer")
-    )
-    return manifest, splits, standardizer
-
-
 def _cmd_featurize(args) -> int:
     kwargs = _merged(
         _config_section(_load_config(args), "features"),
@@ -266,20 +225,17 @@ def _cmd_featurize(args) -> int:
         period_hint_hz=args.period_hint_hz,
     )
     dataset.manifest["created"] = _stamp(args)
-    _save_features(Path(args.out), dataset)
-    counts = {which: len(dataset.split(which)) for which in _SPLITS}
+    save_features(args.out, dataset)
     print(
         f"featurized {len(recordings)} recordings -> "
-        f"{counts['train']}/{counts['val']}/{counts['test']} train/val/test segments "
+        f"{len(dataset.train)}/{len(dataset.val)}/{len(dataset.test)} train/val/test segments "
         f"of {split.segment_len} tokens in {args.out}"
     )
     return EXIT_OK
 
 
 def _cmd_train(args) -> int:
-    manifest, splits, _ = _load_features(args.features)
-    labels = manifest["labels"]
-    segment_len = manifest["split"]["segment_len"]
+    dataset = load_features(args.features)
     config = _load_config(args)
 
     model_kwargs = _merged(
@@ -291,8 +247,9 @@ def _cmd_train(args) -> int:
         dropout_rate=args.dropout,
         attention=args.attention,
     )
+    segment_len = dataset.manifest["split"]["segment_len"]
     model_kwargs.setdefault("t_max", max(ModelConfig.t_max, segment_len))
-    model_kwargs["n_classes"] = len(labels)
+    model_kwargs["n_classes"] = len(dataset.labels)
     model_kwargs["seed"] = args.seed
     model_cfg = ModelConfig(**model_kwargs)
 
@@ -308,17 +265,17 @@ def _cmd_train(args) -> int:
     train_cfg = TrainConfig(**train_kwargs)
 
     model = TdaEncoder(model_cfg)
-    result = fit(model, splits["train"], splits["val"], train_cfg)
+    result = fit(model, dataset.train, dataset.val, train_cfg)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    _dump_json(outdir / "checkpoint.json", dict(model.to_dict(), labels=list(labels)))
+    _dump_json(outdir / "checkpoint.json", dict(model.to_dict(), labels=list(dataset.labels)))
     _dump_json(outdir / "history.json", result.to_dict())
     _dump_json(
         outdir / "train_manifest.json",
         {
             "created": _stamp(args),
-            "labels": list(labels),
+            "labels": list(dataset.labels),
             "model_config": asdict(model_cfg),
             "train_config": asdict(train_cfg),
             "result": result.to_dict(),
@@ -332,11 +289,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    manifest, splits, _ = _load_features(args.features)
+    dataset = load_features(args.features)
     checkpoint = _load_json_object(args.checkpoint, "checkpoint")
     model = TdaEncoder.from_dict(checkpoint)
-    labels = checkpoint.get("labels") or manifest["labels"]
-    report, mean_loss = evaluate(model, splits[args.split], labels)
+    labels = list(dataset.labels)
+    if checkpoint.get("labels", labels) != labels or model.cfg.n_classes != len(labels):
+        raise ValueError(f"checkpoint {args.checkpoint} ({model.cfg.n_classes} classes, labels "
+                         f"{checkpoint.get('labels')}) does not fit {args.features} ({labels})")
+    report, mean_loss = evaluate(model, dataset.split(args.split), labels)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -462,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, "output report directory")
     p.add_argument("--features", required=True, help="features directory")
     p.add_argument("--checkpoint", required=True, help="checkpoint.json from train")
-    p.add_argument("--split", choices=_SPLITS, default="test", help="split to score")
+    p.add_argument("--split", choices=SPLITS, default="test", help="split to score")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("report", help="render a written report")

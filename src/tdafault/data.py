@@ -42,6 +42,7 @@ __all__ = [
     "CLASS_ORDER",
     "SynthConfig",
     "SplitConfig",
+    "Examples",
     "DatasetSplits",
     "gen_recording",
     "gen_synthetic",
@@ -50,10 +51,13 @@ __all__ = [
     "load_recording_csv",
     "load_recordings_mat",
     "build_dataset",
+    "save_features",
+    "load_features",
 ]
 
 STORE_FORMAT = "tdafault-recordings-v1"
 FEATURES_FORMAT = "tdafault-features-v1"
+SPLITS = ("train", "val", "test")
 
 SHAFT_RPM = 1772.0
 
@@ -183,7 +187,7 @@ def gen_synthetic(cfg: SynthConfig) -> list[TimeSeries]:
     ]
 
 
-# ---- recording store --------------------------------------------------------
+# ---- recording store and features directory ---------------------------------
 
 
 def _dump_json(path: Path, obj: dict) -> None:
@@ -200,6 +204,14 @@ def _load_json_object(path, what: str) -> dict:
     if not isinstance(obj, dict):
         raise ValueError(f"{what} {path} must hold a JSON object, got {type(obj).__name__}")
     return obj
+
+
+def _load_npy(path: Path, what: str) -> np.ndarray:
+    """``np.load``; a cut-short or foreign file is a ``ValueError`` naming ``what``."""
+    try:
+        return np.load(path)
+    except (ValueError, EOFError) as exc:
+        raise ValueError(f"{what}: {exc}") from exc
 
 
 def save_recordings(
@@ -250,10 +262,7 @@ def load_recordings(dirpath) -> list[TimeSeries]:
     out = []
     for entry in manifest["recordings"]:
         key = entry["key"]
-        try:
-            samples = np.load(dirpath / f"{key}.npy")
-        except (ValueError, EOFError) as exc:  # cut-short or foreign file
-            raise ValueError(f"recording {key!r}: {exc}") from exc
+        samples = _load_npy(dirpath / f"{key}.npy", f"recording {key!r}")
         expected = (entry["n_samples"],)
         if samples.dtype != np.float64 or samples.shape != expected:
             raise ValueError(
@@ -268,6 +277,41 @@ def load_recordings(dirpath) -> list[TimeSeries]:
             )
         )
     return out
+
+
+def save_features(dirpath, dataset: DatasetSplits) -> None:
+    """Write ``X_<split>.npy``, ``y_<split>.npy``, the standardizer and the manifest."""
+    dirpath = Path(dirpath)
+    dirpath.mkdir(parents=True, exist_ok=True)
+    for which in SPLITS:
+        np.save(dirpath / f"X_{which}.npy", dataset.split(which).tokens)
+        np.save(dirpath / f"y_{which}.npy", dataset.split(which).labels)
+    _dump_json(dirpath / "standardizer.json", dataset.standardizer.to_dict())
+    _dump_json(dirpath / "manifest.json", dataset.manifest)
+
+
+def load_features(dirpath) -> DatasetSplits:
+    """Read :func:`save_features` output; a bad split's ``ValueError`` names its file(s)."""
+    dirpath = Path(dirpath)
+    manifest = _load_json_object(dirpath / "manifest.json", "features manifest")
+    if manifest.get("format") != FEATURES_FORMAT:
+        raise ValueError(f"unrecognized features format {manifest.get('format')!r}")
+    labels = tuple(manifest["labels"])
+    splits = {}
+    for which in SPLITS:
+        x_path, y_path = dirpath / f"X_{which}.npy", dirpath / f"y_{which}.npy"
+        x, y = _load_npy(x_path, str(x_path)), _load_npy(y_path, str(y_path))
+        try:
+            splits[which] = Examples(x, y)
+        except ValueError as exc:
+            blamed = {"tokens": x_path, "labels": y_path}.get(
+                str(exc).split(" ", 1)[0], f"{x_path} and {y_path}")
+            raise ValueError(f"{blamed}: {exc}") from None
+        if not (0 <= y.min() and y.max() < len(labels)):
+            raise ValueError(f"{y_path}: labels must lie in [0, {len(labels)})")
+    standardizer = _load_json_object(dirpath / "standardizer.json", "standardizer")
+    return DatasetSplits(**splits, labels=labels, manifest=manifest,
+                         standardizer=Standardizer.from_dict(standardizer))
 
 
 def load_recording_csv(path, sample_rate_hz: float, label: str | None = None) -> TimeSeries:
@@ -347,18 +391,43 @@ def class_labels_for(recordings) -> tuple[str, ...]:
     return tuple(sorted(present))
 
 
+@dataclass(frozen=True, eq=False)
+class Examples:
+    """One split: ``(N, T, F)`` float64 tokens and their ``(N,)`` class indices.
+
+    The one place the invariants are checked; an error that blames one array
+    starts with its field name.
+    """
+
+    tokens: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self) -> None:
+        tokens, labels = self.tokens, self.labels
+        if tokens.ndim != 3 or tokens.dtype != np.float64 or not np.isfinite(tokens).all():
+            raise ValueError(f"tokens must be finite 3-D float64 ({tokens.ndim}-D {tokens.dtype})")
+        if labels.ndim != 1 or labels.dtype.kind not in "iu":  # not bool, not timedelta
+            raise ValueError(f"labels must be 1-D integers ({labels.ndim}-D {labels.dtype})")
+        if not len(labels) == len(tokens) > 0:
+            raise ValueError(f"need one label per sequence and at least one sequence, "
+                             f"got {len(tokens)} sequences and {len(labels)} labels")
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
 @dataclass
 class DatasetSplits:
-    """Standardized (tokens, class index) examples plus fit metadata."""
+    """Standardized train/validation/test examples plus fit metadata."""
 
-    train: list
-    val: list
-    test: list
+    train: Examples
+    val: Examples
+    test: Examples
     labels: tuple[str, ...]
     standardizer: Standardizer
     manifest: dict
 
-    def split(self, name: str) -> list:
+    def split(self, name: str) -> Examples:
         return {"train": self.train, "val": self.val, "test": self.test}[name]
 
 
@@ -381,7 +450,6 @@ def build_dataset(
     ma = ma or MaConfig()
     split = split or SplitConfig()
     labels = class_labels_for(recordings)
-    label_to_idx = {name: i for i, name in enumerate(labels)}
 
     per_class_segments: dict[str, list[np.ndarray]] = {name: [] for name in labels}
     recording_entries = []
@@ -401,29 +469,25 @@ def build_dataset(
             }
         )
 
-    assignments: dict[str, dict[str, list[np.ndarray]]] = {}
+    per_split: dict[str, list[np.ndarray]] = {which: [] for which in SPLITS}
     split_table = {}
     for name in labels:
         segments = per_class_segments[name]
         n_tr, n_va, n_te = split_counts(len(segments), split)
-        assignments[name] = {
-            "train": segments[:n_tr],
-            "val": segments[n_tr:n_tr + n_va],
-            "test": segments[n_tr + n_va:],
-        }
+        per_split["train"] += segments[:n_tr]
+        per_split["val"] += segments[n_tr:n_tr + n_va]
+        per_split["test"] += segments[n_tr + n_va:]
         split_table[name] = {"train": n_tr, "val": n_va, "test": n_te}
 
-    train_rows = np.vstack(
-        [seg for name in labels for seg in assignments[name]["train"]]
-    )
-    standardizer = Standardizer.fit(train_rows)
-
-    def _examples(which: str) -> list:
-        return [
-            (standardizer.transform(seg), label_to_idx[name])
-            for name in labels
-            for seg in assignments[name][which]
-        ]
+    standardizer = Standardizer.fit(np.vstack(per_split["train"]))
+    splits = {
+        which: Examples(
+            standardizer.transform(np.stack(segments)),
+            np.repeat(np.arange(len(labels), dtype=np.int64),
+                      [split_table[name][which] for name in labels]),
+        )
+        for which, segments in per_split.items()
+    }
 
     manifest = {
         "format": FEATURES_FORMAT,
@@ -438,11 +502,4 @@ def build_dataset(
         "recordings": recording_entries,
         "split_counts": split_table,
     }
-    return DatasetSplits(
-        train=_examples("train"),
-        val=_examples("val"),
-        test=_examples("test"),
-        labels=labels,
-        standardizer=standardizer,
-        manifest=manifest,
-    )
+    return DatasetSplits(**splits, labels=labels, standardizer=standardizer, manifest=manifest)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,9 +183,6 @@ class EvalReport:
                 for r in self.per_class
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
         """Per-class rates as CSV; floats use repr so round-trips are exact."""

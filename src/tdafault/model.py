@@ -139,9 +139,6 @@ class TdaEncoder:
             out.update({f"layers.{i}.{name}": t for name, t in layer.items()})
         return dict(out, **{"head.w": self.head_w, "head.b": self.head_b})
 
-    def attention_parameters(self) -> dict[str, Tensor]:
-        return {k: v for k, v in self.parameters().items() if ".attn." in k}
-
     # ---- forward ----------------------------------------------------------
 
     def _check_tokens(self, tokens: np.ndarray) -> np.ndarray:

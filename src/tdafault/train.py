@@ -2,8 +2,8 @@
 
 Optimization is Adam with bias correction.  Each minibatch is one graph
 with one backward pass: the sum of its per-sample losses scaled by 1/batch.
-The sequences of a dataset must all have one length; each dataset is
-stacked once into a ``(N, T, F)`` array.  Epochs shuffle with a generator
+Datasets are :class:`~tdafault.data.Examples`, whose stacked ``(N, T, F)``
+tokens are sliced directly into batches.  Epochs shuffle with a generator
 seeded from the run seed, and early stopping tracks validation loss (scored
 by :func:`evaluate`) with a patience window; the parameters that scored the
 best validation loss are restored at the end.  Given the same seed, data,
@@ -115,14 +115,6 @@ class TrainResult:
         }
 
 
-def _stack(examples) -> tuple[np.ndarray, np.ndarray]:
-    """Stack ``(tokens, label)`` examples into ``(N, T, F)`` tokens and ``(N,)`` labels."""
-    lengths = sorted({len(tokens) for tokens, _ in examples})
-    if len(lengths) > 1:
-        raise ValueError(f"sequences must all have one length, got lengths {lengths}")
-    return np.stack([tokens for tokens, _ in examples]), np.array([lab for _, lab in examples])
-
-
 def _backward_batch(model: TdaEncoder, tokens: np.ndarray, labels: np.ndarray) -> float:
     """Back-propagate one minibatch as a single graph; returns its summed loss.
 
@@ -135,9 +127,6 @@ def _backward_batch(model: TdaEncoder, tokens: np.ndarray, labels: np.ndarray) -
 
 def train(model: TdaEncoder, train_data, val_data, cfg: TrainConfig) -> TrainResult:
     """Fit ``model`` in place; returns the per-epoch history and best epoch."""
-    if len(train_data) == 0 or len(val_data) == 0:
-        raise ValueError("train and validation sets must be non-empty")
-    tokens, labels = _stack(train_data)
     params = model.parameters()
     opt = Adam(params, cfg)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
@@ -147,12 +136,12 @@ def train(model: TdaEncoder, train_data, val_data, cfg: TrainConfig) -> TrainRes
     bad_epochs = 0
 
     for epoch in range(cfg.max_epochs):
-        order = shuffle_rng.permutation(len(labels))
+        order = shuffle_rng.permutation(len(train_data))
         running = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             ad.zero_grad(params.values())
-            running += _backward_batch(model, tokens[batch], labels[batch])
+            running += _backward_batch(model, train_data.tokens[batch], train_data.labels[batch])
             opt.step()
 
         report, val_loss = evaluate(model, val_data, range(model.cfg.n_classes))
@@ -189,9 +178,7 @@ def evaluate(model: TdaEncoder, data, labels) -> tuple[EvalReport, float]:
     under :func:`~tdafault.autodiff.no_grad`: no graph is built and
     parameter gradients are left as they are.
     """
-    if len(data) == 0:
-        raise ValueError("cannot evaluate an empty dataset")
-    tokens, y_true = _stack(data)
+    tokens, y_true = data.tokens, data.labels
     y_pred = np.empty(len(y_true), dtype=np.int64)
     total = 0.0
     with ad.no_grad():

@@ -337,6 +337,38 @@ class TestExitCodes:
         assert err.startswith("tdafault: ") and err.count("\n") == 1, err
         assert name in err
 
+    def test_eval_against_other_labels_is_data_error(self, chain, tmp_path, capsys):
+        # a checkpoint trained on labels a/b, scored against features labelled
+        # b/c or against features with another number of classes
+        rng = np.random.default_rng(0)
+        t = np.arange(2048) / 1024.0
+        for label in "abc":
+            noise = rng.normal(0.0, 0.2 + 0.1 * "abc".index(label), t.size)
+            x = np.sin(2 * np.pi * 8.0 * t) + noise
+            np.savetxt(tmp_path / f"{label}.csv", x, delimiter=",")
+        for labels in ("ab", "bc"):
+            assert main(["ingest", "--out", str(tmp_path / f"store_{labels}"), "--fs", "1024",
+                         *(f"--input={c}={tmp_path / f'{c}.csv'}" for c in labels)]) == EXIT_OK
+            assert main(["featurize", "--store", str(tmp_path / f"store_{labels}"),
+                         "--out", str(tmp_path / f"feats_{labels}"), "--segment-len", "4",
+                         "--period-hint-hz", "8"]) == EXIT_OK
+        assert main(["train", "--features", str(tmp_path / "feats_ab"),
+                     "--out", str(tmp_path / "model"), "--epochs", "1"]) == EXIT_OK
+        # a checkpoint without labels must still score as many classes
+        unnamed = tmp_path / "unnamed.json"
+        unnamed.write_text(json.dumps({k: v for k, v in json.loads(
+            (chain["model"] / "checkpoint.json").read_text()).items() if k != "labels"}))
+        capsys.readouterr()
+        for ckpt, feats in ((tmp_path / "model" / "checkpoint.json", "feats_bc"),
+                            (unnamed, "feats_ab")):
+            code = main(["eval", "--features", str(tmp_path / feats), "--checkpoint", str(ckpt),
+                         "--out", str(tmp_path / "report")])
+            assert code == EXIT_DATA
+            err = capsys.readouterr().err
+            assert err.startswith("tdafault: ") and err.count("\n") == 1, err
+            assert str(ckpt) in err and str(tmp_path / feats) in err
+        assert not (tmp_path / "report").exists()
+
     def test_huge_learning_rate_is_numeric_error(self, chain, tmp_path, capsys):
         code = main(["train", "--features", str(chain["feats"]),
                      "--out", str(tmp_path / "m"), "--lr", "1e300",

@@ -1,9 +1,15 @@
 """Synthetic generator, recording stores, loaders, and dataset splits."""
 
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tdafault.data import (
     CLASS_ORDER,
@@ -11,16 +17,20 @@ from tdafault.data import (
     FAULT_CLASSES,
     LOCATION_AMPLITUDE,
     RESONANCE_HZ,
+    SPLITS,
     STORE_FORMAT,
+    Examples,
     SplitConfig,
     SynthConfig,
     build_dataset,
     class_labels_for,
     gen_recording,
     gen_synthetic,
+    load_features,
     load_recording_csv,
     load_recordings,
     load_recordings_mat,
+    save_features,
     save_recordings,
     segment_tokens,
     shaft_period_samples,
@@ -308,13 +318,17 @@ class TestBuildDataset:
         assert ds.labels == self.NAMES  # canonical order
         # 8192 samples -> 63 tokens -> 3 segments per class -> 1/1/1 split
         assert (len(ds.train), len(ds.val), len(ds.test)) == (3, 3, 3)
-        for tokens, label in ds.train + ds.val + ds.test:
-            assert tokens.shape == (16, 9)
-            assert 0 <= label < 3
+        for which in SPLITS:
+            examples = ds.split(which)
+            assert examples.tokens.shape == (3, 16, 9)
+            assert examples.tokens.dtype == np.float64
+            # one segment per class, class-major
+            assert examples.labels.dtype == np.int64
+            np.testing.assert_array_equal(examples.labels, [0, 1, 2])
 
     def test_standardized_on_train_only(self, splits):
         _, _, ds = splits
-        rows = np.vstack([tokens for tokens, _ in ds.train])
+        rows = ds.train.tokens.reshape(-1, 9)
         live = ~ds.standardizer.constant_mask
         assert np.max(np.abs(rows.mean(axis=0)[live])) < 1e-9
         np.testing.assert_allclose(rows.std(axis=0)[live], 1.0, atol=1e-6)
@@ -326,12 +340,10 @@ class TestBuildDataset:
         decomp = decompose_additive(recs[0], 69)
         seq = featurize(decomp, WindowSpec(), ma=MaConfig(window=16))
         segs = segment_tokens(seq.tokens, 16)
-        np.testing.assert_allclose(
-            ds.train[0][0], ds.standardizer.transform(segs[0]), atol=1e-12)
-        np.testing.assert_allclose(
-            ds.val[0][0], ds.standardizer.transform(segs[1]), atol=1e-12)
-        np.testing.assert_allclose(
-            ds.test[0][0], ds.standardizer.transform(segs[2]), atol=1e-12)
+        # standardizing a split's stacked array is elementwise: the same bits
+        # as standardizing each segment on its own
+        for examples, seg in zip((ds.train, ds.val, ds.test), segs):
+            np.testing.assert_array_equal(examples.tokens[0], ds.standardizer.transform(seg))
 
     def test_manifest_contents(self, splits):
         cfg, _, ds = splits
@@ -349,3 +361,100 @@ class TestBuildDataset:
         assert ds.split("val") is ds.val
         with pytest.raises(KeyError):
             ds.split("holdout")
+
+
+class TestExamples:
+    def test_fields_and_length(self):
+        tokens, labels = np.zeros((4, 3, 2)), np.array([0, 1, 1, 0])
+        examples = Examples(tokens, labels)
+        assert len(examples) == 4
+        assert examples.tokens is tokens and examples.labels is labels
+
+    @pytest.mark.parametrize("tokens, labels, match", [
+        (np.zeros((3, 2)), np.zeros(3, dtype=np.int64), "tokens must be"),
+        (np.full((3, 2, 2), np.nan), np.zeros(3, dtype=np.int64), "tokens must be"),
+        (np.full((3, 2, 2), np.inf), np.zeros(3, dtype=np.int64), "tokens must be"),
+        (np.zeros((3, 2, 2), dtype=np.float32), np.zeros(3, dtype=np.int64), "tokens must be"),
+        (np.zeros((3, 2, 2)), np.zeros(3), "labels must be"),
+        (np.zeros((3, 2, 2)), np.zeros(3, dtype=bool), "labels must be"),
+        (np.zeros((3, 2, 2)), np.zeros((3, 1), dtype=np.int64), "labels must be"),
+        (np.zeros((3, 2, 2)), np.zeros(2, dtype=np.int64), "3 sequences and 2 labels"),
+        (np.zeros((0, 2, 2)), np.zeros(0, dtype=np.int64), "at least one sequence"),
+    ], ids=["2d-tokens", "nan-tokens", "inf-tokens", "float32-tokens", "float-labels",
+            "bool-labels", "2d-labels", "count-mismatch", "empty"])
+    def test_invariants_rejected(self, tokens, labels, match):
+        with pytest.raises(ValueError, match=match):
+            Examples(tokens, labels)
+
+
+@pytest.fixture(scope="module")
+def features_dir(splits, tmp_path_factory):
+    root = tmp_path_factory.mktemp("feats")
+    save_features(root, splits[2])
+    return root
+
+
+def _mutations():
+    """One ``X_``/``y_`` file of one split, and how to change its array.
+
+    The array is replaced by an arbitrary one, cast to an arbitrary dtype,
+    or has one entry set to a non-finite token or an arbitrary label.
+    """
+    anything = hnp.arrays(
+        st.one_of(hnp.scalar_dtypes(), st.just(np.dtype(np.float64)),
+                  st.just(np.dtype(np.int64))),
+        hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4),
+    )
+    split = st.sampled_from(SPLITS)
+    return st.one_of(
+        st.tuples(st.sampled_from("Xy"), split, anything.map(lambda a: ("set", a))),
+        st.tuples(st.sampled_from("Xy"), split, st.tuples(st.just("cast"), hnp.scalar_dtypes())),
+        st.tuples(st.just("X"), split, st.tuples(
+            st.just("poke"), st.sampled_from([np.nan, np.inf, -np.inf]))),
+        st.tuples(st.just("y"), split, st.tuples(
+            st.just("poke"), st.integers(-(2 ** 63), 2 ** 63 - 1))),
+    )
+
+
+class TestFeaturesDirectory:
+    def test_round_trip(self, splits, features_dir):
+        ds, back = splits[2], load_features(features_dir)
+        for which in SPLITS:
+            np.testing.assert_array_equal(back.split(which).tokens, ds.split(which).tokens)
+            np.testing.assert_array_equal(back.split(which).labels, ds.split(which).labels)
+        assert back.labels == ds.labels
+        assert back.manifest == json.loads(json.dumps(ds.manifest))
+        np.testing.assert_array_equal(back.standardizer.mean, ds.standardizer.mean)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(mutation=_mutations(), index=st.integers(0, 10 ** 6))
+    def test_malformed_array_names_its_file(self, features_dir, mutation, index):
+        kind, which, (how, value) = mutation
+        name = f"{kind}_{which}.npy"
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "feats"
+            shutil.copytree(features_dir, root)
+            array = np.load(root / name)
+            if how == "set":
+                array = value
+            elif how == "cast":
+                try:
+                    array = array.astype(value)
+                except (TypeError, ValueError):
+                    reject()
+            else:
+                array.flat[index % array.size] = value
+            np.save(root / name, array)
+            try:
+                loaded = load_features(root)
+            except ValueError as exc:
+                assert name in str(exc)
+                return
+        # accepted: the file held a valid array, and it loaded unchanged
+        examples = loaded.split(which)
+        np.testing.assert_array_equal(examples.tokens if kind == "X" else examples.labels, array)
+        assert examples.tokens.ndim == 3 and examples.tokens.dtype == np.float64
+        assert np.isfinite(examples.tokens).all()
+        assert examples.labels.ndim == 1 and examples.labels.dtype.kind in "iu"
+        assert len(examples.labels) == len(examples.tokens) > 0
+        assert 0 <= examples.labels.min() and examples.labels.max() < len(loaded.labels)

@@ -169,7 +169,7 @@ class TestEvalReport:
         assert report.overall_accuracy == np.trace(cm) / cm.sum()
 
     def test_json_round_trip(self, report):
-        d = json.loads(report.to_json())
+        d = json.loads(json.dumps(report.to_dict()))
         assert d["n_samples"] == report.n_samples
         assert d["overall_accuracy"] == report.overall_accuracy
         rebuilt = EvalReport.from_matrix(

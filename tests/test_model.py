@@ -207,12 +207,6 @@ class TestParameters:
         for name, tensor in params.items():
             assert tensor.requires_grad, name
 
-    def test_attention_parameters_subset(self):
-        model = TdaEncoder(ModelConfig(**TINY, seed=0))
-        attn = model.attention_parameters()
-        assert set(attn) < set(model.parameters())
-        assert all(".attn." in k for k in attn)
-
     def test_bias_rows_start_at_zero(self):
         model = TdaEncoder(ModelConfig(**TINY, seed=0))
         for layer in model.layers:

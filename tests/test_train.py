@@ -5,6 +5,7 @@ import pytest
 
 import tdafault.autodiff as ad
 from tdafault.autodiff import Tensor, zero_grad
+from tdafault.data import Examples
 from tdafault.model import ModelConfig, TdaEncoder
 from tdafault.train import Adam, TrainConfig, evaluate, train
 
@@ -12,28 +13,32 @@ TINY = dict(d_model=8, d_k=4, d_v=4, heads=2, layers=1,
             n_classes=3, t_max=6, dropout_rate=0.0)
 
 
-def toy_dataset(n_per_class=6, t_len=6, n_classes=3, seed=0):
-    """Linearly separable token sequences: class c lifts feature c by 3."""
+def separable(labels, t_len, seed):
+    """One sequence per label: noise, with feature ``label`` lifted by 3."""
     rng = np.random.default_rng(seed)
-    out = []
-    for c in range(n_classes):
-        for _ in range(n_per_class):
-            tokens = rng.normal(0.0, 0.3, (t_len, 9))
-            tokens[:, c] += 3.0
-            out.append((tokens, c))
-    return out
+    labels = np.asarray(labels, dtype=np.int64)
+    tokens = np.empty((len(labels), t_len, 9))
+    for i, c in enumerate(labels):
+        tokens[i] = rng.normal(0.0, 0.3, (t_len, 9))
+        tokens[i, :, c] += 3.0
+    return Examples(tokens, labels)
+
+
+def toy_dataset(n_per_class=6, t_len=6, n_classes=3, seed=0):
+    """Linearly separable examples, class-major: class c lifts feature c by 3."""
+    return separable(np.repeat(np.arange(n_classes), n_per_class), t_len, seed)
 
 
 def cycled_dataset(n=10, t_len=5, n_classes=3, seed=0):
-    """``n`` separable sequences of one length; class ``i % n_classes`` for the i-th."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for i in range(n):
-        c = i % n_classes
-        tokens = rng.normal(0.0, 0.3, (t_len, 9))
-        tokens[:, c] += 3.0
-        out.append((tokens, c))
-    return out
+    """``n`` separable sequences; class ``i % n_classes`` for the i-th."""
+    return separable(np.arange(n) % n_classes, t_len, seed)
+
+
+def subset(examples, idx):
+    return Examples(examples.tokens[idx], examples.labels[idx])
+
+
+EMPTY = (np.empty((0, 6, 9)), np.empty(0, dtype=np.int64))
 
 
 def per_sample_reference(model, train_data, val_data, cfg):
@@ -52,13 +57,13 @@ def per_sample_reference(model, train_data, val_data, cfg):
             batch = order[start:start + cfg.batch_size]
             zero_grad(params.values())
             for j in batch:
-                tokens, label = train_data[j]
+                tokens, label = train_data.tokens[j], train_data.labels[j]
                 loss = model.loss(tokens, label, training=True)
                 ad.scale(loss, 1.0 / len(batch)).backward()
                 running += loss.item()
             opt.step()
         val_total, hits = 0.0, 0
-        for tokens, label in val_data:
+        for tokens, label in zip(val_data.tokens, val_data.labels):
             logits = model.forward(tokens)
             val_total += ad.cross_entropy_logits(logits, label).item()
             hits += int(np.argmax(logits.data[0]) == label)
@@ -157,7 +162,8 @@ class TestAdam:
 class TestTrainLoop:
     def split_data(self, seed=0):
         data = toy_dataset(seed=seed)
-        return data[::2], data[1::2]  # interleaved train/val
+        order = np.arange(len(data))
+        return subset(data, order[::2]), subset(data, order[1::2])  # interleaved train/val
 
     def test_zero_learning_rate_changes_nothing_and_stops_early(self):
         model = TdaEncoder(ModelConfig(seed=1, **TINY))
@@ -234,22 +240,13 @@ class TestTrainLoop:
                                        err_msg=name)
 
     def test_empty_sets_rejected(self):
+        # an empty set cannot be built, so it never reaches ``train``
         model = TdaEncoder(ModelConfig(seed=0, **TINY))
         data = toy_dataset(n_per_class=1)
-        with pytest.raises(ValueError):
-            train(model, [], data, TrainConfig())
-        with pytest.raises(ValueError):
-            train(model, data, [], TrainConfig())
-
-    def test_mixed_lengths_rejected(self):
-        model = TdaEncoder(ModelConfig(seed=0, **TINY))
-        data = cycled_dataset(n=3, t_len=5) + cycled_dataset(n=2, t_len=4)
-        with pytest.raises(ValueError, match=r"lengths \[4, 5\]"):
-            train(model, data, cycled_dataset(n=3), TrainConfig(max_epochs=1))
-        with pytest.raises(ValueError, match=r"lengths \[4, 5\]"):
-            train(model, cycled_dataset(n=3), data, TrainConfig(max_epochs=1))
-        with pytest.raises(ValueError, match=r"lengths \[4, 5\]"):
-            evaluate(model, data, ("a", "b", "c"))
+        with pytest.raises(ValueError, match="at least one sequence"):
+            train(model, Examples(*EMPTY), data, TrainConfig())
+        with pytest.raises(ValueError, match="at least one sequence"):
+            train(model, data, Examples(*EMPTY), TrainConfig())
 
 
 class TestEvaluate:
@@ -257,10 +254,10 @@ class TestEvaluate:
         model = TdaEncoder(ModelConfig(seed=5, **TINY))
         data = toy_dataset(n_per_class=3, seed=6)
         report, mean_loss = evaluate(model, data, ("a", "b", "c"))
-        y_true = [label for _, label in data]
-        y_pred = [model.predict(tokens) for tokens, _ in data]
+        y_true = data.labels
+        y_pred = [model.predict(tokens) for tokens in data.tokens]
         assert report.n_samples == len(data)
-        assert report.overall_accuracy == np.mean(np.array(y_true) == np.array(y_pred))
+        assert report.overall_accuracy == np.mean(y_true == np.array(y_pred))
         np.testing.assert_array_equal(
             report.matrix.counts,
             np.histogram2d(y_true, y_pred, bins=(3, 3),
@@ -270,15 +267,14 @@ class TestEvaluate:
 
     def test_empty_rejected(self):
         model = TdaEncoder(ModelConfig(seed=0, **TINY))
-        with pytest.raises(ValueError):
-            evaluate(model, [], ("a", "b", "c"))
+        with pytest.raises(ValueError, match="at least one sequence"):
+            evaluate(model, Examples(*EMPTY), ("a", "b", "c"))
 
     def test_leaves_parameter_gradients_untouched(self):
         model = TdaEncoder(ModelConfig(seed=5, **TINY))
         data = cycled_dataset(seed=7)
         params = model.parameters()
-        tokens, label = data[0]
-        model.loss(tokens, label).backward()
+        model.loss(data.tokens[0], data.labels[0]).backward()
         before = {k: p.grad.copy() for k, p in params.items()}
         evaluate(model, data, ("a", "b", "c"))
         for k, p in params.items():
