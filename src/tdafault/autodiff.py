@@ -35,6 +35,12 @@ GELU), in the same float operations and order as the textbook formulas.
 :func:`matmul` takes an optional ``bias`` row added into the product's own
 buffer, which is how the model applies every bias; ``add_rowvec`` stays in
 the catalog as the standalone form.
+
+Inside a :func:`buffer_pool` block every array an op, an adjoint or
+``accumulate`` makes comes from a pool of recycled buffers (see
+:class:`BufferPool`), so a training step reuses the previous step's memory
+instead of returning it to the operating system; outside one, ops allocate
+fresh arrays.  Either way the float operations are the same.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import itertools
+import sys
 import weakref
 
 import numpy as np
@@ -70,6 +77,9 @@ __all__ = [
     "grad_check",
     "zero_grad",
     "no_grad",
+    "BufferPool",
+    "buffer_pool",
+    "empty",
 ]
 
 _SEQ = itertools.count()
@@ -78,6 +88,83 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # False inside a no_grad block (per thread and per asyncio task)
 _GRAD_ENABLED = contextvars.ContextVar("tdafault_grad_enabled", default=True)
+# The BufferPool of the innermost buffer_pool block, or None
+_POOL = contextvars.ContextVar("tdafault_buffer_pool", default=None)
+
+
+def _idle_refs() -> int:
+    """``sys.getrefcount(arrays[i])`` of an array that only the list ``arrays`` holds."""
+    arrays = [np.empty(0)]
+    return sys.getrefcount(arrays[0])
+
+
+_IDLE_REFS = _idle_refs()
+
+
+class BufferPool:
+    """Arrays recycled by shape and dtype.
+
+    :meth:`empty` hands out a pooled array of the requested shape that
+    nothing outside the pool references, as its reference count shows, or
+    else a new array that joins the pool.  An array stays in use while any
+    tensor, closure or view (a view holds its base) keeps it, so a request
+    never gets memory that is still read.  The pool holds on to its arrays
+    until it is dropped.
+    """
+
+    def __init__(self):
+        self._arrays: dict = {}  # (shape, dtype) -> [arrays, index to try first]
+
+    def empty(self, shape: tuple, dtype=np.float64) -> np.ndarray:
+        entry = self._arrays.get((shape, dtype))
+        if entry is None:
+            entry = self._arrays[(shape, dtype)] = [[], 0]
+        arrays, start = entry
+        n = len(arrays)
+        # Round robin from the last hit: a step asks in the order the
+        # previous step did, so the next idle array is usually the first tried.
+        for k in range(n):
+            i = start + k if start + k < n else start + k - n
+            if sys.getrefcount(arrays[i]) == _IDLE_REFS:
+                entry[1] = i + 1
+                return arrays[i]
+        arr = np.empty(shape, dtype)
+        arrays.append(arr)
+        return arr
+
+
+@contextlib.contextmanager
+def buffer_pool():
+    """Draw every array the ops allocate inside the block from one new :class:`BufferPool`.
+
+    The pool and its arrays are released on exit; arrays still referenced
+    then (a parameter's ``grad``, say) stay valid.
+    """
+    token = _POOL.set(BufferPool())
+    try:
+        yield
+    finally:
+        _POOL.reset(token)
+
+
+def empty(shape: tuple, dtype=np.float64) -> np.ndarray:
+    """An uninitialised array: from the active :func:`buffer_pool`, else ``np.empty``."""
+    pool = _POOL.get()
+    return np.empty(shape, dtype) if pool is None else pool.empty(shape, dtype)
+
+
+def _empty_like(x: np.ndarray) -> np.ndarray:
+    """``np.empty_like(x)``, from the pool when ``x`` or its last-two-axes swap is C-contiguous."""
+    if x.flags.c_contiguous:
+        return empty(x.shape)
+    if x.ndim >= 2 and _swap(x).flags.c_contiguous:
+        return _swap(empty(_swap(x).shape))
+    return np.empty_like(x)
+
+
+def _row_stat(x: np.ndarray) -> np.ndarray:
+    """A buffer for one statistic per row of ``x`` (``keepdims`` over the last axis)."""
+    return empty(x.shape[:-1] + (1,))
 
 
 class NumericsError(ArithmeticError):
@@ -95,7 +182,7 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim > 3:
             raise ValueError(f"rank {arr.ndim} tensor not supported (max 3)")
-        if not np.isfinite(arr).all():
+        if not np.isfinite(arr, out=empty(arr.shape, np.bool_)).all():
             raise NumericsError(f"non-finite values in result of op {_op!r}")
         self.data = arr
         self.requires_grad = requires_grad
@@ -125,7 +212,7 @@ class Tensor:
               and self.data.flags.c_contiguous):
             self.grad = g
         else:
-            self.grad = np.empty_like(self.data)
+            self.grad = _empty_like(self.data)
             self.grad[...] = g
 
     def backward(self) -> None:
@@ -222,17 +309,18 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     def backward(out):
         g = out.grad
         if a.requires_grad:
-            a.accumulate(g @ _swap(b.data), fresh=True)
+            a.accumulate(np.matmul(g, _swap(b.data), out=empty(a.shape)), fresh=True)
         if b.requires_grad:
             if shared:
-                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+                gb = np.matmul(a.data.reshape(-1, a.shape[-1]).T, g.reshape(-1, g.shape[-1]),
+                               out=empty(b.shape))
             else:
-                gb = _swap(a.data) @ g
+                gb = np.matmul(_swap(a.data), g, out=empty(b.shape))
             b.accumulate(gb, fresh=True)
         if bias is not None and bias.requires_grad:
             bias.accumulate(_batch_sum(g, g.shape[-1]), fresh=True)
 
-    y = a.data @ b.data
+    y = np.matmul(a.data, b.data, out=empty(a.shape[:-1] + b.shape[-1:]))
     parents = (a, b)
     if bias is not None:
         y += bias.data
@@ -251,18 +339,19 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def _split(x: np.ndarray, heads: int) -> np.ndarray:
-    n_batch, t, _ = x.shape
-    return x.reshape(n_batch, t, heads, -1).swapaxes(1, 2).reshape(n_batch * heads, t, -1)
+    """Copy of ``(B, T, heads*d)`` as ``(B*heads, T, d)``."""
+    n_batch, t, width = x.shape
+    out = empty((n_batch * heads, t, width // heads))
+    out.reshape(n_batch, heads, t, -1)[...] = x.reshape(n_batch, t, heads, -1).swapaxes(1, 2)
+    return out
 
 
 def _merge(x: np.ndarray, heads: int) -> np.ndarray:
-    _, t, d = x.shape
-    return x.reshape(-1, heads, t, d).swapaxes(1, 2).reshape(-1, t, heads * d)
-
-
-def _pass_on(a: Tensor, g: np.ndarray, src: np.ndarray) -> None:
-    """Accumulate ``g``, a reshaping of ``src``, fresh unless it is a view of ``src``."""
-    a.accumulate(g, fresh=not np.may_share_memory(g, src))
+    """Copy of ``(B*heads, T, d)`` as ``(B, T, heads*d)``."""
+    samples, t, d = x.shape
+    out = empty((samples // heads, t, heads * d))
+    out.reshape(-1, t, heads, d)[...] = x.reshape(-1, heads, t, d).swapaxes(1, 2)
+    return out
 
 
 def split_heads(a: Tensor, heads: int) -> Tensor:
@@ -274,7 +363,7 @@ def split_heads(a: Tensor, heads: int) -> Tensor:
         raise ValueError(f"split_heads cannot split {a.shape} into {heads} heads")
 
     def backward(out):
-        _pass_on(a, _merge(out.grad, heads), out.grad)
+        a.accumulate(_merge(out.grad, heads), fresh=True)
 
     return _make(_split(a.data, heads), (a,), "split_heads", backward)
 
@@ -285,7 +374,7 @@ def merge_heads(a: Tensor, heads: int) -> Tensor:
         raise ValueError(f"merge_heads cannot merge {a.shape} over {heads} heads")
 
     def backward(out):
-        _pass_on(a, _split(out.grad, heads), out.grad)
+        a.accumulate(_split(out.grad, heads), fresh=True)
 
     return _make(_merge(a.data, heads), (a,), "merge_heads", backward)
 
@@ -305,7 +394,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate(out.grad)
 
-    return _make(a.data + b.data, (a, b), "add", backward)
+    return _make(np.add(a.data, b.data, out=empty(a.shape)), (a, b), "add", backward)
 
 
 def subtract(a: Tensor, b: Tensor) -> Tensor:
@@ -315,9 +404,9 @@ def subtract(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate(out.grad)
         if b.requires_grad:
-            b.accumulate(-out.grad, fresh=True)
+            b.accumulate(np.negative(out.grad, out=empty(b.shape)), fresh=True)
 
-    return _make(a.data - b.data, (a, b), "subtract", backward)
+    return _make(np.subtract(a.data, b.data, out=empty(a.shape)), (a, b), "subtract", backward)
 
 
 def multiply(a: Tensor, b: Tensor) -> Tensor:
@@ -325,25 +414,25 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(out):
         if a.requires_grad:
-            a.accumulate(out.grad * b.data, fresh=True)
+            a.accumulate(np.multiply(out.grad, b.data, out=empty(a.shape)), fresh=True)
         if b.requires_grad:
-            b.accumulate(out.grad * a.data, fresh=True)
+            b.accumulate(np.multiply(out.grad, a.data, out=empty(b.shape)), fresh=True)
 
-    return _make(a.data * b.data, (a, b), "multiply", backward)
+    return _make(np.multiply(a.data, b.data, out=empty(a.shape)), (a, b), "multiply", backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
     def backward(out):
-        a.accumulate(out.grad * c, fresh=True)
+        a.accumulate(np.multiply(out.grad, c, out=empty(a.shape)), fresh=True)
 
-    return _make(a.data * c, (a,), "scale", backward)
+    return _make(np.multiply(a.data, c, out=empty(a.shape)), (a,), "scale", backward)
 
 
 def _batch_sum(x: np.ndarray, n: int) -> np.ndarray:
     """Sum a (..., n) array over every leading axis."""
-    return x.reshape(-1, n).sum(axis=0)
+    return x.reshape(-1, n).sum(axis=0, out=empty((n,)))
 
 
 def mul_rowvec(a: Tensor, v: Tensor) -> Tensor:
@@ -367,14 +456,21 @@ def mul_rowvec(a: Tensor, v: Tensor) -> Tensor:
     def backward(out):
         g = out.grad.reshape(grouped.shape)
         if a.requires_grad:
-            a.accumulate((g * factors).reshape(a.shape), fresh=True)
+            ga = empty(a.shape)
+            np.multiply(g, factors, out=ga.reshape(grouped.shape))
+            a.accumulate(ga, fresh=True)
         if v.requires_grad:
-            gv = np.zeros_like(v.data)
+            gv = empty(v.shape)
+            gv.fill(0.0)
             # row r: its samples in order, each sample's positions in order
-            gv[:, :n] = np.swapaxes(g * grouped, 0, 1).reshape(k, -1, n).sum(axis=1)
+            by_row = empty((k, grouped.shape[0]) + grouped.shape[2:])
+            np.multiply(np.swapaxes(g, 0, 1), np.swapaxes(grouped, 0, 1), out=by_row)
+            gv[:, :n] = by_row.reshape(k, -1, n).sum(axis=1, out=empty((k, n)))
             v.accumulate(gv, fresh=True)
 
-    return _make((grouped * factors).reshape(a.shape), (a, v), "mul_rowvec", backward)
+    y = empty(a.shape)
+    np.multiply(grouped, factors, out=y.reshape(grouped.shape))
+    return _make(y, (a, v), "mul_rowvec", backward)
 
 
 def mul_colvec(a: Tensor, u: Tensor) -> Tensor:
@@ -386,11 +482,13 @@ def mul_colvec(a: Tensor, u: Tensor) -> Tensor:
 
     def backward(out):
         if a.requires_grad:
-            a.accumulate(out.grad * u.data[:, None], fresh=True)
+            a.accumulate(np.multiply(out.grad, u.data[:, None], out=empty(a.shape)), fresh=True)
         if u.requires_grad:
-            u.accumulate(_batch_sum((out.grad * a.data).sum(axis=-1), m), fresh=True)
+            prod = np.multiply(out.grad, a.data, out=empty(a.shape))
+            u.accumulate(_batch_sum(prod.sum(axis=-1, out=empty(a.shape[:-1])), m), fresh=True)
 
-    return _make(a.data * u.data[:, None], (a, u), "mul_colvec", backward)
+    return _make(np.multiply(a.data, u.data[:, None], out=empty(a.shape)), (a, u),
+                 "mul_colvec", backward)
 
 
 def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
@@ -406,21 +504,22 @@ def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
         if v.requires_grad:
             v.accumulate(_batch_sum(out.grad, n), fresh=True)
 
-    return _make(a.data + v.data, (a, v), "add_rowvec", backward)
+    return _make(np.add(a.data, v.data, out=empty(a.shape)), (a, v), "add_rowvec", backward)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
     _need_rows(a, "softmax_rows")
     # exp(x - max) / sum, computed in one buffer
-    p = a.data - a.data.max(axis=-1, keepdims=True)
+    x = a.data
+    p = np.subtract(x, x.max(axis=-1, keepdims=True, out=_row_stat(x)), out=empty(x.shape))
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p /= p.sum(axis=-1, keepdims=True, out=_row_stat(p))
 
     def backward(out):
         # dL/dx = P * (g - sum_j g_j P_j) row-wise, in one buffer
         g = out.grad
-        dx = g * p
-        dot = dx.sum(axis=-1, keepdims=True)
+        dx = np.multiply(g, p, out=empty(p.shape))
+        dot = dx.sum(axis=-1, keepdims=True, out=_row_stat(dx))
         np.subtract(g, dot, out=dx)
         dx *= p
         a.accumulate(dx, fresh=True)
@@ -432,10 +531,10 @@ def exp(a: Tensor) -> Tensor:
     # Overflow becomes inf here and is converted to NumericsError by the
     # Tensor constructor; the numpy warning would just be noise on top.
     with np.errstate(over="ignore"):
-        e = np.exp(a.data)
+        e = np.exp(a.data, out=empty(a.shape))
 
     def backward(out):
-        a.accumulate(out.grad * e, fresh=True)
+        a.accumulate(np.multiply(out.grad, e, out=empty(a.shape)), fresh=True)
 
     return _make(e, (a,), "exp", backward)
 
@@ -451,9 +550,11 @@ def mean_rows(a: Tensor) -> Tensor:
 
     def backward(out):
         per_sample = out.grad.reshape(a.shape[:-2] + (1, n))
-        a.accumulate(np.broadcast_to(per_sample / m, a.shape))
+        share = np.divide(per_sample, m, out=empty(per_sample.shape))
+        a.accumulate(np.broadcast_to(share, a.shape))
 
-    return _make(a.data.mean(axis=-2).reshape(-1, n), (a,), "mean_rows", backward)
+    means = a.data.mean(axis=-2, out=empty(a.shape[:-2] + (n,)))
+    return _make(means.reshape(-1, n), (a,), "mean_rows", backward)
 
 
 def layer_norm(a: Tensor, eps: float = _LN_EPS) -> Tensor:
@@ -463,23 +564,26 @@ def layer_norm(a: Tensor, eps: float = _LN_EPS) -> Tensor:
     """
     _need_rows(a, "layer_norm")
     x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
+    mu = x.mean(axis=-1, keepdims=True, out=_row_stat(x))
     # one buffer: first the squared centred rows, then the normalised rows
-    y = np.subtract(x, mu)
+    y = np.subtract(x, mu, out=empty(x.shape))
     np.square(y, out=y)
-    var = y.sum(axis=-1, keepdims=True)
-    var /= x.shape[-1]
-    inv = 1.0 / np.sqrt(var + eps)
+    # inv = 1 / sqrt(var + eps), in the variance's buffer
+    inv = y.sum(axis=-1, keepdims=True, out=_row_stat(y))
+    inv /= x.shape[-1]
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
     np.subtract(x, mu, out=y)
     y *= inv
 
     def backward(out):
         # inv * (g - mean(g) - y * mean(g * y)) row-wise
         g = out.grad
-        dx = g * y
-        gy = dx.mean(axis=-1, keepdims=True)
-        gm = g.mean(axis=-1, keepdims=True)
-        y_gy = y * gy
+        dx = np.multiply(g, y, out=empty(y.shape))
+        gy = dx.mean(axis=-1, keepdims=True, out=_row_stat(dx))
+        gm = g.mean(axis=-1, keepdims=True, out=_row_stat(g))
+        y_gy = np.multiply(y, gy, out=empty(y.shape))
         np.subtract(g, gm, out=dx)
         dx -= y_gy
         dx *= inv
@@ -495,14 +599,14 @@ def gelu(a: Tensor) -> Tensor:
 
     x = a.data
     # cdf = 0.5 * (1 + erf(x / sqrt 2)), in one buffer
-    cdf = x * _INV_SQRT2
+    cdf = np.multiply(x, _INV_SQRT2, out=empty(x.shape))
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
 
     def backward(out):
         # g * (cdf + x * pdf), pdf = exp(-x^2 / 2) / sqrt(2 pi), in one buffer
-        dx = np.square(x)
+        dx = np.square(x, out=empty(x.shape))
         dx *= -0.5
         np.exp(dx, out=dx)
         dx *= _INV_SQRT2PI
@@ -511,7 +615,7 @@ def gelu(a: Tensor) -> Tensor:
         dx *= out.grad
         a.accumulate(dx, fresh=True)
 
-    return _make(x * cdf, (a,), "gelu", backward)
+    return _make(np.multiply(x, cdf, out=empty(x.shape)), (a,), "gelu", backward)
 
 
 def cross_entropy_logits(logits: Tensor, target) -> Tensor:
@@ -535,14 +639,21 @@ def cross_entropy_logits(logits: Tensor, target) -> Tensor:
         raise ValueError(f"target {target} out of range for {n_classes} classes")
     z = logits.data
     rows = np.arange(n_rows)
-    zmax = z.max(axis=1, keepdims=True)
-    lse = zmax + np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
+    zmax = z.max(axis=1, keepdims=True, out=_row_stat(z))
+    shifted = np.subtract(z, zmax, out=empty(z.shape))
+    np.exp(shifted, out=shifted)
+    # lse = zmax + log(sum(exp(z - zmax))), in the sum's buffer
+    lse = shifted.sum(axis=1, keepdims=True, out=_row_stat(z))
+    np.log(lse, out=lse)
+    np.add(zmax, lse, out=lse)
     loss = (lse[:, 0] - z[rows, targets]).sum()
 
     def backward(out):
-        p = np.exp(z - lse)
+        p = np.subtract(z, lse, out=empty(z.shape))
+        np.exp(p, out=p)
         p[rows, targets] -= 1.0
-        logits.accumulate(out.grad.reshape(()) * p, fresh=True)
+        p *= out.grad.reshape(())
+        logits.accumulate(p, fresh=True)
 
     return _make(np.array([[loss]]), (logits,), "cross_entropy_logits", backward)
 

@@ -296,7 +296,14 @@ def load_features(dirpath) -> DatasetSplits:
     manifest = _load_json_object(dirpath / "manifest.json", "features manifest")
     if manifest.get("format") != FEATURES_FORMAT:
         raise ValueError(f"unrecognized features format {manifest.get('format')!r}")
+    manifest_path = dirpath / "manifest.json"
+    for key in ("labels", "feature_names"):
+        names = manifest.get(key)
+        if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):
+            raise ValueError(f"{manifest_path}: {key!r} must be a non-empty list of strings, "
+                             f"got {names!r}")
     labels = tuple(manifest["labels"])
+    n_features = len(manifest["feature_names"])
     splits = {}
     for which in SPLITS:
         x_path, y_path = dirpath / f"X_{which}.npy", dirpath / f"y_{which}.npy"
@@ -307,6 +314,9 @@ def load_features(dirpath) -> DatasetSplits:
             blamed = {"tokens": x_path, "labels": y_path}.get(
                 str(exc).split(" ", 1)[0], f"{x_path} and {y_path}")
             raise ValueError(f"{blamed}: {exc}") from None
+        if x.shape[2] != n_features:
+            raise ValueError(f"{x_path}: tokens have {x.shape[2]} features, the manifest names "
+                             f"{n_features}")
         if not (0 <= y.min() and y.max() < len(labels)):
             raise ValueError(f"{y_path}: labels must lie in [0, {len(labels)})")
     standardizer = _load_json_object(dirpath / "standardizer.json", "standardizer")

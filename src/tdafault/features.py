@@ -37,6 +37,8 @@ DESK_WINDOW_LEN = 256
 DESK_WINDOW_STRIDE = 128
 
 _VAR_FLOOR = 1e-24
+# Windows featurized per pass; a pass over 2048-sample windows holds a few MB.
+WINDOW_BLOCK = 64
 
 FEATURE_NAMES = (
     "res_hema_last",
@@ -181,12 +183,45 @@ def rms(x) -> float:
     return float(_rms_rows(arr.reshape(1, -1))[0])
 
 
+def _window_tokens(res: np.ndarray, tr: np.ndarray, se: np.ndarray, ma: MaConfig,
+                   out: np.ndarray) -> None:
+    """Write the tokens of a block of windows (the rows of each component) into ``out``.
+
+    Every feature is computed row by row, so a window's token does not
+    depend on which other windows share its block.
+    """
+    length = res.shape[1]
+    filtered = hema(res, ma)
+    out[:, 0] = filtered.values[:, -1]
+    valid = filtered.valid_values if filtered.valid_from < length else filtered.values
+    out[:, 1] = valid.mean(axis=1)
+    del filtered, valid
+    out[:, 2], out[:, 3] = _moment_ratios(res)
+    out[:, 4] = _rms_rows(res)
+
+    out[:, 5] = tr.mean(axis=1)
+    # Least-squares slope against time centred on the window; sum(t) is 0.
+    t = np.arange(length) - (length - 1) / 2.0
+    centred = tr - out[:, 5:6]
+    out[:, 6] = _row_dot(centred, np.broadcast_to(t, centred.shape)) / (t @ t)
+
+    out[:, 7] = _rms_rows(se)
+    centred = se - se.mean(axis=1, keepdims=True)
+    energy = _row_dot(centred, centred)
+    lag1 = _row_dot(centred[:, :-1], centred[:, 1:])
+    del centred
+    flat = energy < _VAR_FLOOR
+    energy[flat] = 1.0
+    out[:, 8] = np.where(flat, 0.0, lag1 / energy)
+
+
 def featurize(decomp, spec: WindowSpec, ma: MaConfig | None = None, label: str | None = None) -> TokenSequence:
     """Slice a decomposition into windows and compute one token per window.
 
     The Hull-EMA features are computed from each window's residual samples
-    alone, so tokens depend only on their own window.  All windows are
-    processed at once, as the rows of one window matrix per component.
+    alone, so tokens depend only on their own window.  Windows are processed
+    ``WINDOW_BLOCK`` at a time, as the rows of one window matrix per
+    component, so memory stays bounded however long the recording is.
 
     Parameters
     ----------
@@ -207,31 +242,10 @@ def featurize(decomp, spec: WindowSpec, ma: MaConfig | None = None, label: str |
         sliding_window_view(part, spec.length)[::spec.stride]
         for part in (decomp.residual, decomp.trend, decomp.seasonal)
     )
-
     tokens = np.empty((count, len(FEATURE_NAMES)))
-    filtered = hema(res, ma)
-    tokens[:, 0] = filtered.values[:, -1]
-    valid = filtered.valid_values if filtered.valid_from < spec.length else filtered.values
-    tokens[:, 1] = valid.mean(axis=1)
-    del filtered, valid
-    tokens[:, 2], tokens[:, 3] = _moment_ratios(res)
-    tokens[:, 4] = _rms_rows(res)
-
-    tokens[:, 5] = tr.mean(axis=1)
-    # Least-squares slope against time centred on the window; sum(t) is 0.
-    t = np.arange(spec.length) - (spec.length - 1) / 2.0
-    centred = tr - tokens[:, 5:6]
-    tokens[:, 6] = centred @ t / (t @ t)
-
-    tokens[:, 7] = _rms_rows(se)
-    centred = se - se.mean(axis=1, keepdims=True)
-    energy = _row_dot(centred, centred)
-    lag1 = _row_dot(centred[:, :-1], centred[:, 1:])
-    del centred
-    flat = energy < _VAR_FLOOR
-    energy[flat] = 1.0
-    tokens[:, 8] = np.where(flat, 0.0, lag1 / energy)
-
+    for lo in range(0, count, WINDOW_BLOCK):
+        rows = slice(lo, lo + WINDOW_BLOCK)
+        _window_tokens(res[rows], tr[rows], se[rows], ma, tokens[rows])
     if not np.all(np.isfinite(tokens)):
         raise ValueError("featurization produced non-finite values")
     return TokenSequence(tokens=tokens, label=label)

@@ -175,9 +175,13 @@ class TdaEncoder:
         rate = self.cfg.dropout_rate
         if rate == 0.0:
             return []
-        draw = self._dropout_rng.random((n_batch, 2 * self.cfg.layers, t_len, self.cfg.d_model))
-        keep = np.divide(draw >= rate, 1.0 - rate, out=draw)
-        return list(np.ascontiguousarray(keep.swapaxes(0, 1)))
+        shape = (n_batch, 2 * self.cfg.layers, t_len, self.cfg.d_model)
+        draw = self._dropout_rng.random(out=ad.empty(shape))
+        keep = np.divide(np.greater_equal(draw, rate, out=ad.empty(shape, np.bool_)), 1.0 - rate,
+                         out=draw)
+        masks = ad.empty((shape[1], n_batch) + shape[2:])
+        masks[...] = keep.swapaxes(0, 1)
+        return list(masks)
 
     @staticmethod
     def _dropout(t: Tensor, drop: list, site: int) -> Tensor:

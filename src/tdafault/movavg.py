@@ -18,6 +18,7 @@ regression check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -120,11 +121,58 @@ def wma(x, n: int) -> FilteredSeries:
     return FilteredSeries(out, valid_from=n - 1)
 
 
+# The scan's weights grow as (1-alpha)**-i across a block; a block is cut
+# where they would pass 2**_SCAN_BITS, or at _MAX_BLOCK samples.  Both limits
+# depend on alpha alone, so the blocks of a row never depend on other rows.
+_SCAN_BITS = 512
+_MAX_BLOCK = 4096
+
+
+@functools.lru_cache(maxsize=32)
+def _scan_tables(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``alpha * beta**-i`` and ``beta**i`` for one block, ``beta = 1 - alpha``."""
+    beta = 1.0 - alpha
+    span = -math.log2(beta)
+    length = _MAX_BLOCK if span * _MAX_BLOCK <= _SCAN_BITS else 1 + int(_SCAN_BITS / span)
+    i = np.arange(length, dtype=np.float64)
+    grow = alpha * np.power(beta, -i)
+    decay = np.power(beta, i)
+    grow.flags.writeable = decay.flags.writeable = False
+    return grow, decay
+
+
+def _ema_scan(arr: np.ndarray, alpha: float) -> np.ndarray:
+    """The recursion as a prefix sum per block (Blelloch 1990).
+
+    Inside a block starting at ``lo``, ``y[lo+j] = beta**j * (beta*y[lo-1] +
+    sum_{i<=j} alpha * beta**-i * x[lo+i])``; the first block starts from
+    ``y[0] = x[0]`` instead.  A row of finite inputs overflows only when its
+    magnitudes pass about ``2**(1023 - _SCAN_BITS)``, which leaves its last
+    output non-finite.
+    """
+    beta = 1.0 - alpha
+    grow, decay = _scan_tables(alpha)
+    out = np.empty(arr.shape)
+    for lo in range(0, arr.shape[-1], grow.size):
+        hi = min(lo + grow.size, arr.shape[-1])
+        block = out[..., lo:hi]
+        np.multiply(arr[..., lo:hi], grow[:hi - lo], out=block)
+        if lo:
+            block[..., 0] += beta * carry
+        else:
+            block[..., 0] = arr[..., 0]
+        np.cumsum(block, axis=-1, out=block)
+        block *= decay[:hi - lo]
+        carry = block[..., -1]
+    return out
+
+
 def ema(x, alpha: float) -> FilteredSeries:
     """Exponential moving average ``out[t] = alpha*x[t] + (1-alpha)*out[t-1]``.
 
     Seeded with ``out[0] = x[0]``; every output is defined, so
-    ``valid_from`` is 0.
+    ``valid_from`` is 0.  Evaluated as a blocked prefix sum; it agrees with
+    the sequential recursion to within a few ulps of ``max|x| / alpha``.
 
     Parameters
     ----------
@@ -137,14 +185,19 @@ def ema(x, alpha: float) -> FilteredSeries:
     arr = _as_series(x, max_ndim=2)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    # Imported here, not at module level: scipy.signal costs about 0.9 s of
-    # cold start, and only the verbs that smooth need it.
-    from scipy.signal import lfilter
-
-    # IIR recursion y[t] = alpha*x[t] + (1-alpha)*y[t-1] with y[0] = x[0].
-    zi = (1.0 - alpha) * arr[..., :1]
-    out = lfilter([alpha], [1.0, -(1.0 - alpha)], arr, axis=-1, zi=zi)[0]
-    return FilteredSeries(np.asarray(out, dtype=np.float64), valid_from=0)
+    if alpha == 1.0:
+        return FilteredSeries(arr.copy(), valid_from=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is handled below
+        out = _ema_scan(arr, alpha)
+    rows, out_rows = arr.reshape(-1, arr.shape[-1]), out.reshape(-1, arr.shape[-1])
+    over = ~np.isfinite(out_rows[:, -1])
+    if over.any():
+        over[over] = np.isfinite(rows[over]).all(axis=1)
+        # Scale each overflowing row by the power of two that brings its
+        # largest magnitude under 1: exact, and the same for a 1-D call.
+        _, exponent = np.frexp(np.abs(rows[over]).max(axis=1, keepdims=True))
+        out_rows[over] = np.ldexp(_ema_scan(np.ldexp(rows[over], -exponent), alpha), exponent)
+    return FilteredSeries(out, valid_from=0)
 
 
 def _hull_windows(n: int, mode: str) -> tuple[int, int, int]:

@@ -135,36 +135,39 @@ def train(model: TdaEncoder, train_data, val_data, cfg: TrainConfig) -> TrainRes
     best_snapshot = {k: p.data.copy() for k, p in params.items()}
     bad_epochs = 0
 
-    for epoch in range(cfg.max_epochs):
-        order = shuffle_rng.permutation(len(train_data))
-        running = 0.0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            ad.zero_grad(params.values())
-            running += _backward_batch(model, train_data.tokens[batch], train_data.labels[batch])
-            opt.step()
+    # The pool recycles each step's arrays in the next step.
+    with ad.buffer_pool():
+        for epoch in range(cfg.max_epochs):
+            order = shuffle_rng.permutation(len(train_data))
+            running = 0.0
+            for start in range(0, len(order), cfg.batch_size):
+                batch = order[start:start + cfg.batch_size]
+                ad.zero_grad(params.values())
+                running += _backward_batch(model, train_data.tokens[batch],
+                                           train_data.labels[batch])
+                opt.step()
 
-        report, val_loss = evaluate(model, val_data, range(model.cfg.n_classes))
-        result.history.append(
-            {
-                "epoch": epoch,
-                "train_loss": running / len(train_data),
-                "val_loss": val_loss,
-                "val_accuracy": report.overall_accuracy,
-            }
-        )
-        result.epochs_run = epoch + 1
+            report, val_loss = evaluate(model, val_data, range(model.cfg.n_classes))
+            result.history.append(
+                {
+                    "epoch": epoch,
+                    "train_loss": running / len(train_data),
+                    "val_loss": val_loss,
+                    "val_accuracy": report.overall_accuracy,
+                }
+            )
+            result.epochs_run = epoch + 1
 
-        if val_loss < result.best_val_loss:
-            result.best_val_loss = val_loss
-            result.best_epoch = epoch
-            best_snapshot = {k: p.data.copy() for k, p in params.items()}
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= cfg.patience:
-                result.stopped_early = True
-                break
+            if val_loss < result.best_val_loss:
+                result.best_val_loss = val_loss
+                result.best_epoch = epoch
+                best_snapshot = {k: p.data.copy() for k, p in params.items()}
+                bad_epochs = 0
+            else:
+                bad_epochs += 1
+                if bad_epochs >= cfg.patience:
+                    result.stopped_early = True
+                    break
 
     for name, p in params.items():
         p.data = best_snapshot[name]

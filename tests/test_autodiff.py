@@ -1,6 +1,8 @@
 """Reverse-mode engine: every primitive against central differences."""
 
+import contextlib
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -522,6 +524,76 @@ class TestGradientOwnership:
         x.accumulate(g, fresh=True)
         x.accumulate(np.full((2, 2), 2.0))
         np.testing.assert_array_equal(x.grad, 3.0)
+
+
+class TestBufferPool:
+    def test_referenced_array_is_never_handed_out(self):
+        pool = ad.BufferPool()
+        first = pool.empty((3, 4))
+        second = pool.empty((3, 4))
+        assert second is not first  # `first` is still referenced
+        view, first_ref = first[1:], weakref.ref(first)
+        del first
+        third = pool.empty((3, 4))  # the view keeps its base in use
+        assert not np.shares_memory(third, view) and not np.shares_memory(third, second)
+        assert pool.empty((4, 3)).shape == (4, 3) and pool.empty((3, 4), np.bool_).dtype == bool
+        del view
+        assert pool.empty((3, 4)) is first_ref()  # idle again: reused
+
+    def test_ops_reuse_only_released_outputs(self):
+        a = Tensor(np.random.default_rng(95).normal(size=(2, 3, 4)))
+        with ad.buffer_pool():
+            kept = ad.scale(a, 2.0)
+            other = ad.scale(a, 3.0)
+            assert not np.shares_memory(kept.data, other.data)
+            released = weakref.ref(other.data)
+            del other
+            again = ad.scale(a, 4.0)
+            assert again.data is released()
+            np.testing.assert_array_equal(kept.data, 2.0 * a.data)
+            np.testing.assert_array_equal(again.data, 4.0 * a.data)
+
+    def test_outside_a_pool_arrays_are_fresh(self):
+        a = Tensor(np.random.default_rng(96).normal(size=(2, 3, 4)))
+        for scope in ("before", "inside", "after"):
+            if scope == "inside":
+                with ad.buffer_pool():
+                    out = weakref.ref(ad.scale(a, 2.0).data)
+                    assert out() is not None  # the pool keeps its arrays
+                continue
+            out = weakref.ref(ad.scale(a, 2.0).data)
+            assert out() is None  # nothing kept the dropped output
+
+    def test_pooled_gradient_gets_data_layout(self):
+        with ad.buffer_pool():
+            v = Tensor(np.zeros((4, 3)).T, requires_grad=True)
+            v.accumulate(np.ones((3, 4)))
+            assert v.grad.strides == np.empty_like(v.data).strides
+            x = Tensor(np.zeros((3, 4)), requires_grad=True)
+            x.accumulate(np.ones((4, 3)).T)
+            assert x.grad.flags.c_contiguous
+
+    def test_pooled_training_step_matches_unpooled(self):
+        # the same graph with and without a pool, over several steps
+        rng = np.random.default_rng(97)
+        x = rng.normal(size=(3, 5, 8))
+        results = []
+        for pooled in (False, True):
+            w = Tensor(np.random.default_rng(98).normal(size=(8, 8)), requires_grad=True)
+            steps = []
+            with ad.buffer_pool() if pooled else contextlib.nullcontext():
+                for _ in range(3):
+                    zero_grad([w])
+                    h = ad.gelu(ad.layer_norm(ad.matmul(Tensor(x), w)))
+                    heads = ad.merge_heads(ad.softmax_rows(ad.split_heads(h, 2)), 2)
+                    loss = scalarize(heads)
+                    loss.backward()
+                    w.data -= 0.1 * w.grad
+                    steps.append((loss.item(), w.data.copy()))
+            results.append(steps)
+        for (loss_a, w_a), (loss_b, w_b) in zip(*results):
+            assert loss_a == loss_b
+            np.testing.assert_array_equal(w_a, w_b)
 
 
 class TestFusedBias:

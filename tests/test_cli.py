@@ -319,8 +319,9 @@ class TestExitCodes:
         ("eval", "X_test.npy", lambda x, y: (x[0], y)),
         ("train", "X_train.npy", lambda x, y: (x.astype(np.float32), y)),
         ("train", "X_val.npy", lambda x, y: (np.where(x > 1.0, np.nan, x), y)),
+        ("train", "X_train.npy", lambda x, y: (np.ascontiguousarray(x[..., :8]), y)),
     ], ids=["short-labels", "float-labels", "2d-labels", "label-too-big", "negative-label",
-            "2d-tokens", "float32-tokens", "nan-tokens"])
+            "2d-tokens", "float32-tokens", "nan-tokens", "8-feature-tokens"])
     def test_malformed_features_array_is_data_error(self, chain, tmp_path, capsys,
                                                     verb, name, fault):
         feats = tmp_path / "feats"
@@ -336,6 +337,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("tdafault: ") and err.count("\n") == 1, err
         assert name in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("labels", 5), ("labels", None), ("labels", []), ("labels", [0, 1]),
+        ("feature_names", "res_rms"), ("feature_names", None),
+    ], ids=["int-labels", "no-labels", "empty-labels", "int-label-names", "string-feature-names",
+            "no-feature-names"])
+    def test_malformed_features_manifest_is_data_error(self, chain, tmp_path, capsys, key, value):
+        feats = tmp_path / "feats"
+        shutil.copytree(chain["feats"], feats)
+        manifest = json.loads((feats / "manifest.json").read_text())
+        if value is None:
+            del manifest[key]
+        else:
+            manifest[key] = value
+        (feats / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["train", "--features", str(feats), "--out", str(tmp_path / "o"),
+                     "--epochs", "1"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("tdafault: ") and err.count("\n") == 1, err
+        assert "manifest.json" in err and repr(key) in err
 
     def test_eval_against_other_labels_is_data_error(self, chain, tmp_path, capsys):
         # a checkpoint trained on labels a/b, scored against features labelled
@@ -526,18 +548,61 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]", proc.stdout
 
 
-@pytest.mark.parametrize("period, loads", [(69, False), (300, True)])
-def test_decompose_period_loads_scipy_signal_only_for_long_kernels(chain, tmp_path,
-                                                                  period, loads):
-    # A kernel of period + 1 taps past the direct-convolution limit is the
-    # only thing in `decompose --period` that needs scipy.
-    code = ("import sys; from tdafault.cli import main; "
-            f"main(['decompose', '--store', sys.argv[1], '--out', sys.argv[2], "
-            f"'--period', '{period}']); "
-            "print('scipy.signal' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code, str(chain["store"]), str(tmp_path)],
-                          capture_output=True, text=True, env=_checkout_env(), check=True)
-    assert proc.stdout.splitlines()[-1] == str(loads), proc.stdout
+# Runs ``tdafault.cli.main(argv)`` with every scipy import made to fail, then
+# checks that the verb succeeded and left no scipy module loaded.
+_WITHOUT_SCIPY = """
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is blocked: " + name)
+
+
+sys.meta_path.insert(0, BlockScipy())
+from tdafault.cli import main
+
+code = main(sys.argv[1:])
+assert not [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("verb, extra", [
+    ("decompose", []),
+    ("decompose", ["--period", "69"]),
+    ("decompose", ["--period", "300"]),  # past the direct-convolution limit
+    ("featurize", []),
+    ("featurize", ["--period-hint-hz", HINT]),
+], ids=["decompose", "decompose-period-69", "decompose-period-300", "featurize",
+        "featurize-hint"])
+def test_front_end_runs_without_scipy(chain, tmp_path, verb, extra):
+    # Smoothing, decomposition and the period search need numpy alone.
+    argv = [verb, "--store", str(chain["store"]), "--out", str(tmp_path / "out"), *extra]
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, *argv], capture_output=True,
+                          text=True, env=_checkout_env())
+    assert proc.returncode == EXIT_OK, proc.stderr
+
+
+def _scipy_modules(code: str, *args: str) -> set:
+    """The scipy modules loaded after running ``code`` in a fresh interpreter."""
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=_checkout_env(), check=True)
+    return set(json.loads(proc.stdout.splitlines()[-1].replace("'", '"')))
+
+
+def test_train_and_eval_load_only_scipy_special(chain, tmp_path):
+    special = _scipy_modules("import scipy.special")
+    run = "import sys; from tdafault.cli import main; assert main(sys.argv[1:]) == 0"
+    trained = _scipy_modules(run, "train", "--features", str(chain["feats"]), "--out",
+                             str(tmp_path / "model"), "--epochs", "1")
+    evaluated = _scipy_modules(run, "eval", "--features", str(chain["feats"]), "--checkpoint",
+                               str(chain["model"] / "checkpoint.json"), "--out",
+                               str(tmp_path / "report"))
+    assert "scipy.special" in trained and trained <= special
+    assert "scipy.special" in evaluated and evaluated <= special
 
 
 def _declared_scripts(pyproject: Path) -> dict:

@@ -454,6 +454,7 @@ class TestFeaturesDirectory:
         examples = loaded.split(which)
         np.testing.assert_array_equal(examples.tokens if kind == "X" else examples.labels, array)
         assert examples.tokens.ndim == 3 and examples.tokens.dtype == np.float64
+        assert examples.tokens.shape[2] == len(loaded.manifest["feature_names"])
         assert np.isfinite(examples.tokens).all()
         assert examples.labels.ndim == 1 and examples.labels.dtype.kind in "iu"
         assert len(examples.labels) == len(examples.tokens) > 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdafault import decompose as decompose_module
 from tdafault.data import SynthConfig, gen_synthetic
 from tdafault.decompose import (
     _DIRECT_MAX_TAPS,
@@ -202,18 +203,16 @@ def vibration_like(n, period, seed):
 
 
 @pytest.fixture
-def oaconvolve_calls(monkeypatch):
-    """Counts calls to ``scipy.signal.oaconvolve`` made while the test runs."""
-    import scipy.signal
-
+def overlap_add_calls(monkeypatch):
+    """Kernel lengths of the overlap-add convolutions made while the test runs."""
     calls = []
-    real = scipy.signal.oaconvolve
+    real = decompose_module._overlap_add
 
-    def counting(*args, **kwargs):
-        calls.append(args[1].size)
-        return real(*args, **kwargs)
+    def counting(x, kernel):
+        calls.append(kernel.size)
+        return real(x, kernel)
 
-    monkeypatch.setattr(scipy.signal, "oaconvolve", counting)
+    monkeypatch.setattr(decompose_module, "_overlap_add", counting)
     return calls
 
 
@@ -221,19 +220,19 @@ class TestTrendFilterPaths:
     """Short kernels convolve directly; longer ones use overlap-add."""
 
     @pytest.mark.parametrize("period", [2, 3, 4, 7, 12, 69, 138, 139])
-    def test_short_periods_match_direct_formulas_bitwise(self, period, oaconvolve_calls):
+    def test_short_periods_match_direct_formulas_bitwise(self, period, overlap_add_calls):
         x = vibration_like(32768, period, seed=period)
         d = decompose_additive(make_series(x, fs=4096.0), period)
         trend, seasonal, residual = direct_decompose(x, period)
         np.testing.assert_array_equal(d.trend, trend)
         np.testing.assert_array_equal(d.seasonal, seasonal)
         np.testing.assert_array_equal(d.residual, residual)
-        assert oaconvolve_calls == []
+        assert overlap_add_calls == []
 
     @pytest.mark.parametrize("n, period", [
         (96_000, 695), (96_000, 1625), (96_000, 3310), (96_000, 3311), (480_000, 8125),
     ])
-    def test_long_periods_match_direct_convolution(self, n, period, oaconvolve_calls):
+    def test_long_periods_match_direct_convolution(self, n, period, overlap_add_calls):
         x = vibration_like(n, period, seed=period)
         d = decompose_additive(make_series(x, fs=48000.0), period)
         trend, seasonal, residual = direct_decompose(x, period)
@@ -243,9 +242,9 @@ class TestTrendFilterPaths:
         assert np.abs(d.residual - residual).max() <= 1e-12 * scale
         assert np.abs(d.reconstruct() - x).max() <= 1e-12
         assert d.valid_range == (period // 2, n - period // 2)
-        assert oaconvolve_calls == [period + 1 - period % 2]
+        assert overlap_add_calls == [period + 1 - period % 2]
 
-    def test_crossover(self, oaconvolve_calls):
+    def test_crossover(self, overlap_add_calls):
         # Kernels have an odd number of taps, so the longest direct kernel
         # (odd period) and the next one (even period, one tap more than the
         # period) are two taps apart.
@@ -253,13 +252,13 @@ class TestTrendFilterPaths:
         x = vibration_like(96_000, _DIRECT_MAX_TAPS, seed=0)
         at = decompose_additive(make_series(x), _DIRECT_MAX_TAPS)
         np.testing.assert_array_equal(at.trend, direct_decompose(x, _DIRECT_MAX_TAPS)[0])
-        assert oaconvolve_calls == []
+        assert overlap_add_calls == []
 
         past = decompose_additive(make_series(x), _DIRECT_MAX_TAPS + 1)
         trend = direct_decompose(x, _DIRECT_MAX_TAPS + 1)[0]
         assert np.abs(past.trend - trend).max() <= 1e-12 * np.abs(x).max()
         assert np.abs(past.reconstruct() - x).max() <= 1e-12
-        assert oaconvolve_calls == [_DIRECT_MAX_TAPS + 2]
+        assert overlap_add_calls == [_DIRECT_MAX_TAPS + 2]
 
 
 class TestEstimatePeriod:

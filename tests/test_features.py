@@ -1,11 +1,14 @@
 """Window featurization against a from-scratch reference implementation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdafault.data import SynthConfig, gen_synthetic
+from tdafault import features as features_module
+from tdafault.data import FAULT_CLASSES, SynthConfig, gen_recording, gen_synthetic
 from tdafault.decompose import TimeSeries, decompose_additive, estimate_period
 from tdafault.features import (
     CHANNEL_MAP,
@@ -182,6 +185,37 @@ class TestFeaturize:
         assert np.isfinite(seq.tokens).all()
         assert seq.label == "demo"
         assert len(seq) == seq.tokens.shape[0]
+
+    @pytest.fixture(scope="class")
+    def fullrate(self):
+        """One 48 kHz, 10 s recording, decomposed at its shaft period (1625 samples)."""
+        cfg = SynthConfig(sample_rate_hz=48000.0, duration_s=10.0, seed=3)
+        ts = gen_recording(FAULT_CLASSES[4], cfg, 0)
+        return decompose_additive(ts, estimate_period(ts, cfg.shaft_hz))
+
+    def test_blocked_tokens_equal_unblocked(self, fullrate, monkeypatch):
+        desk = SynthConfig(seed=3, recordings_per_class=1)
+        cases = [(fullrate, WindowSpec(length=2048, stride=1024))] + [
+            (decompose_additive(ts, estimate_period(ts, desk.shaft_hz)), WindowSpec())
+            for ts in gen_synthetic(desk)
+        ]
+        blocked = [featurize(d, spec).tokens for d, spec in cases]
+        assert len(blocked[0]) > 7 * features_module.WINDOW_BLOCK
+        monkeypatch.setattr(features_module, "WINDOW_BLOCK", 10 ** 9)
+        for (d, spec), tokens in zip(cases, blocked):
+            np.testing.assert_array_equal(tokens, featurize(d, spec).tokens)
+
+    def test_memory_is_bounded(self, fullrate):
+        # The (windows, length) matrices of the whole recording would take
+        # 7.3 MB each; block by block the peak stays a few MB.
+        spec = WindowSpec(length=2048, stride=1024)
+        tracemalloc.start()
+        try:
+            featurize(fullrate, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20
 
     def test_window_longer_than_series_errors(self, decomp):
         with pytest.raises(ValueError):

@@ -128,6 +128,30 @@ class TestEma:
         for row, filtered in zip(rows, out.values):
             np.testing.assert_array_equal(filtered, ema(row, alpha).values)
 
+    @pytest.mark.parametrize("alpha", [0.4, 0.99, 1.0])
+    def test_rows_spanning_several_blocks_equal_1d_calls(self, alpha):
+        # 4096-sample rows cross several scan blocks at these alphas.
+        rows = np.random.default_rng(5).normal(3.0, 2.0, size=(6, 4096))
+        out = ema(rows, alpha).values
+        assert not np.shares_memory(out, rows)
+        for row, filtered in zip(rows, out):
+            np.testing.assert_array_equal(filtered, ema(row, alpha).values)
+            np.testing.assert_allclose(filtered, brute_ema(row, alpha), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("magnitude", [1e300, 1e-300])
+    @pytest.mark.parametrize("alpha", [2.0 / 17.0, 0.4, 0.99])
+    def test_extreme_magnitudes_match_brute_force(self, magnitude, alpha):
+        # Near the ends of the float range the scan's growing weights must
+        # neither overflow nor lose the small values.
+        rng = np.random.default_rng(6)
+        rows = magnitude * rng.uniform(0.5, 1.7, size=(3, 3000)) * rng.choice([-1.0, 1.0], 3)[:, None]
+        out = ema(rows, alpha).values
+        for row, filtered in zip(rows, out):
+            expect = brute_ema(row, alpha)
+            assert np.all(np.isfinite(filtered))
+            np.testing.assert_allclose(filtered, expect, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(filtered, ema(row, alpha).values)
+
     def test_rejects_3d_input(self):
         with pytest.raises(ValueError):
             ema(np.ones((2, 3, 4)), 0.5)

@@ -1,5 +1,8 @@
 """Optimizer math, deterministic training, early stopping, evaluation."""
 
+import contextlib
+import json
+
 import numpy as np
 import pytest
 
@@ -190,6 +193,20 @@ class TestTrainLoop:
         assert runs[0][0] == runs[1][0]
         for name in runs[0][1]:
             np.testing.assert_array_equal(runs[0][1][name], runs[1][1][name])
+
+    def test_pooled_training_matches_unpooled(self, monkeypatch):
+        # train draws every step's arrays from a buffer pool; without the
+        # pool the run must produce the same history and parameter bytes
+        tr, va = toy_dataset(n_per_class=10, seed=3), toy_dataset(n_per_class=2, seed=4)
+        cfg = TrainConfig(learning_rate=5e-3, batch_size=4, max_epochs=3, patience=3, seed=9)
+        runs = []
+        for pooled in (True, False):
+            if not pooled:
+                monkeypatch.setattr(ad, "buffer_pool", contextlib.nullcontext)
+            model = TdaEncoder(ModelConfig(seed=2, **dict(TINY, dropout_rate=0.1)))
+            result = train(model, tr, va, cfg)
+            runs.append(json.dumps([result.to_dict(), model.to_dict()]))
+        assert runs[0] == runs[1]
 
     def test_loss_decreases_and_fits_separable_data(self):
         model = TdaEncoder(ModelConfig(seed=0, **TINY))
