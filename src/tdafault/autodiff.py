@@ -113,24 +113,20 @@ class BufferPool:
     """
 
     def __init__(self):
-        self._arrays: dict = {}  # (shape, dtype) -> [arrays, index to try first]
+        self._arrays: dict = {}  # (shape, dtype) -> arrays, the last handed out first
 
     def empty(self, shape: tuple, dtype=np.float64) -> np.ndarray:
-        entry = self._arrays.get((shape, dtype))
-        if entry is None:
-            entry = self._arrays[(shape, dtype)] = [[], 0]
-        arrays, start = entry
-        n = len(arrays)
-        # Round robin from the last hit: a step asks in the order the
-        # previous step did, so the next idle array is usually the first tried.
-        for k in range(n):
-            i = start + k if start + k < n else start + k - n
+        arrays = self._arrays.get((shape, dtype))
+        if arrays is None:
+            arrays = self._arrays[(shape, dtype)] = []
+        # Newest first, as malloc reuses the block freed last: a temporary
+        # released a moment ago is handed out again while it is in cache.
+        for i in range(len(arrays)):
             if sys.getrefcount(arrays[i]) == _IDLE_REFS:
-                entry[1] = i + 1
-                return arrays[i]
-        arr = np.empty(shape, dtype)
-        arrays.append(arr)
-        return arr
+                arrays.insert(0, arrays.pop(i))
+                return arrays[0]
+        arrays.insert(0, np.empty(shape, dtype))
+        return arrays[0]
 
 
 @contextlib.contextmanager

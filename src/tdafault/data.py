@@ -293,10 +293,10 @@ def save_features(dirpath, dataset: DatasetSplits) -> None:
 def load_features(dirpath) -> DatasetSplits:
     """Read :func:`save_features` output; a bad split's ``ValueError`` names its file(s)."""
     dirpath = Path(dirpath)
-    manifest = _load_json_object(dirpath / "manifest.json", "features manifest")
+    manifest_path = dirpath / "manifest.json"
+    manifest = _load_json_object(manifest_path, "features manifest")
     if manifest.get("format") != FEATURES_FORMAT:
         raise ValueError(f"unrecognized features format {manifest.get('format')!r}")
-    manifest_path = dirpath / "manifest.json"
     for key in ("labels", "feature_names"):
         names = manifest.get(key)
         if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):

@@ -37,8 +37,9 @@ DESK_WINDOW_LEN = 256
 DESK_WINDOW_STRIDE = 128
 
 _VAR_FLOOR = 1e-24
-# Windows featurized per pass; a pass over 2048-sample windows holds a few MB.
-WINDOW_BLOCK = 64
+# Samples per window matrix in one featurize pass (1 MiB of float64): 64
+# windows of 2048 samples, or a whole desk recording of 256-sample windows.
+BLOCK_SAMPLES = 1 << 17
 
 FEATURE_NAMES = (
     "res_hema_last",
@@ -220,8 +221,9 @@ def featurize(decomp, spec: WindowSpec, ma: MaConfig | None = None, label: str |
 
     The Hull-EMA features are computed from each window's residual samples
     alone, so tokens depend only on their own window.  Windows are processed
-    ``WINDOW_BLOCK`` at a time, as the rows of one window matrix per
-    component, so memory stays bounded however long the recording is.
+    in blocks of ``BLOCK_SAMPLES // spec.length`` (at least one), as the rows
+    of one window matrix per component, so memory stays bounded however long
+    the recording is.
 
     Parameters
     ----------
@@ -243,8 +245,9 @@ def featurize(decomp, spec: WindowSpec, ma: MaConfig | None = None, label: str |
         for part in (decomp.residual, decomp.trend, decomp.seasonal)
     )
     tokens = np.empty((count, len(FEATURE_NAMES)))
-    for lo in range(0, count, WINDOW_BLOCK):
-        rows = slice(lo, lo + WINDOW_BLOCK)
+    block = max(1, BLOCK_SAMPLES // spec.length)
+    for lo in range(0, count, block):
+        rows = slice(lo, lo + block)
         _window_tokens(res[rows], tr[rows], se[rows], ma, tokens[rows])
     if not np.all(np.isfinite(tokens)):
         raise ValueError("featurization produced non-finite values")

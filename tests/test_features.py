@@ -193,15 +193,19 @@ class TestFeaturize:
         ts = gen_recording(FAULT_CLASSES[4], cfg, 0)
         return decompose_additive(ts, estimate_period(ts, cfg.shaft_hz))
 
-    def test_blocked_tokens_equal_unblocked(self, fullrate, monkeypatch):
+    @pytest.mark.parametrize("block_samples", [features_module.BLOCK_SAMPLES, 64 * 256])
+    def test_blocked_tokens_equal_unblocked(self, fullrate, monkeypatch, block_samples):
+        # At the default a desk recording is one block, so the smaller size
+        # splits the desk windows too (64 per block).
         desk = SynthConfig(seed=3, recordings_per_class=1)
         cases = [(fullrate, WindowSpec(length=2048, stride=1024))] + [
             (decompose_additive(ts, estimate_period(ts, desk.shaft_hz)), WindowSpec())
             for ts in gen_synthetic(desk)
         ]
+        monkeypatch.setattr(features_module, "BLOCK_SAMPLES", block_samples)
         blocked = [featurize(d, spec).tokens for d, spec in cases]
-        assert len(blocked[0]) > 7 * features_module.WINDOW_BLOCK
-        monkeypatch.setattr(features_module, "WINDOW_BLOCK", 10 ** 9)
+        assert len(blocked[0]) > 7 * block_samples // 2048
+        monkeypatch.setattr(features_module, "BLOCK_SAMPLES", 10 ** 9)
         for (d, spec), tokens in zip(cases, blocked):
             np.testing.assert_array_equal(tokens, featurize(d, spec).tokens)
 
