@@ -222,9 +222,9 @@ def estimate_period(x: TimeSeries, hint_hz: float | None = None) -> int:
     # (u = eps/2; Higham's gamma_n bound with Cauchy-Schwarz), and an FFT
     # value by far less than 1024*u*energy (measured with numpy.fft: at most
     # 6.7e-16*energy, about 6*u, over 548 lags of each of twenty 480k-sample
-    # recordings, against dot products in extended precision).  A lag's lead can shrink by both
-    # errors on two lags, so every lag that could be the exact argmax lies
-    # within this band of the FFT maximum.
+    # recordings, against dot products in extended precision).  A lag's lead
+    # can shrink by both errors on two lags, so every lag that could be the
+    # exact argmax lies within this band of the FFT maximum.
     band = (n + 1024) * np.finfo(np.float64).eps * energy
     candidates = 2 + np.flatnonzero(approx >= approx.max() - band)
     exact = [np.dot(centred[:n - k], centred[k:]) for k in candidates]

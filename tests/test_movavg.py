@@ -144,7 +144,8 @@ class TestEma:
         # Near the ends of the float range the scan's growing weights must
         # neither overflow nor lose the small values.
         rng = np.random.default_rng(6)
-        rows = magnitude * rng.uniform(0.5, 1.7, size=(3, 3000)) * rng.choice([-1.0, 1.0], 3)[:, None]
+        signs = rng.choice([-1.0, 1.0], 3)[:, None]
+        rows = magnitude * rng.uniform(0.5, 1.7, size=(3, 3000)) * signs
         out = ema(rows, alpha).values
         for row, filtered in zip(rows, out):
             expect = brute_ema(row, alpha)
