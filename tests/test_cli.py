@@ -587,10 +587,11 @@ def test_front_end_runs_without_scipy(chain, tmp_path, verb, extra):
 
 def _scipy_modules(code: str, *args: str) -> set:
     """The scipy modules loaded after running ``code`` in a fresh interpreter."""
-    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code += ("\nimport json, sys"
+             "\nprint(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))")
     proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           env=_checkout_env(), check=True)
-    return set(json.loads(proc.stdout.splitlines()[-1].replace("'", '"')))
+    return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 def test_train_and_eval_load_only_scipy_special(chain, tmp_path):
