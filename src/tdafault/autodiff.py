@@ -34,7 +34,12 @@ adjoints work in place on the arrays they allocate (softmax, layer norm,
 GELU), in the same float operations and order as the textbook formulas.
 :func:`matmul` takes an optional ``bias`` row added into the product's own
 buffer, which is how the model applies every bias; ``add_rowvec`` stays in
-the catalog as the standalone form.
+the catalog as the standalone form.  Likewise :func:`softmax_rows` takes an
+optional ``scale`` applied in its own buffer, which is how the model applies
+attention's ``1/sqrt(d_k)``; ``scale`` stays in the catalog.
+
+GELU's ``erf`` is computed here with numpy alone (:func:`_erf`, a port of
+FreeBSD msun's ``s_erf.c``), within 1 ulp of the correctly rounded value.
 
 Inside a :func:`buffer_pool` block every array an op, an adjoint or
 ``accumulate`` makes comes from a pool of recycled buffers (see
@@ -102,31 +107,45 @@ _IDLE_REFS = _idle_refs()
 
 
 class BufferPool:
-    """Arrays recycled by shape and dtype.
+    """Arrays recycled by dtype and trailing shape.
 
-    :meth:`empty` hands out a pooled array of the requested shape that
-    nothing outside the pool references, as its reference count shows, or
-    else a new array that joins the pool.  An array stays in use while any
-    tensor, closure or view (a view holds its base) keeps it, so a request
-    never gets memory that is still read.  The pool holds on to its arrays
-    until it is dropped.
+    :meth:`empty` hands out an array that nothing outside the pool
+    references, as its reference count shows.  That is a pooled array of
+    the requested shape if one is idle, else a leading-rows view of the
+    shortest idle array with the same trailing shape and a longer leading
+    axis, else a new array that joins the pool.  So a batch shorter than the
+    others (a training set's last batch, say) borrows the full batches'
+    arrays.  An array stays in use while any tensor, closure or view (a view
+    holds its base) keeps it, so a request never gets memory that is still
+    read.  The pool holds on to its arrays until it is dropped.
     """
 
     def __init__(self):
-        self._arrays: dict = {}  # (shape, dtype) -> arrays, the last handed out first
+        self._arrays: dict = {}  # (shape[1:], dtype) -> arrays, the last handed out first
 
     def empty(self, shape: tuple, dtype=np.float64) -> np.ndarray:
-        arrays = self._arrays.get((shape, dtype))
+        if not shape:
+            return self.empty((1,), dtype).reshape(())
+        rows = shape[0]
+        arrays = self._arrays.get((shape[1:], dtype))
         if arrays is None:
-            arrays = self._arrays[(shape, dtype)] = []
+            arrays = self._arrays[(shape[1:], dtype)] = []
         # Newest first, as malloc reuses the block freed last: a temporary
         # released a moment ago is handed out again while it is in cache.
+        best = None
         for i in range(len(arrays)):
             if sys.getrefcount(arrays[i]) == _IDLE_REFS:
-                arrays.insert(0, arrays.pop(i))
-                return arrays[0]
-        arrays.insert(0, np.empty(shape, dtype))
-        return arrays[0]
+                have = arrays[i].shape[0]
+                if have == rows:
+                    best = i
+                    break
+                if have > rows and (best is None or have < arrays[best].shape[0]):
+                    best = i
+        if best is None:
+            arrays.insert(0, np.empty(shape, dtype))
+            return arrays[0]
+        arrays.insert(0, arrays.pop(best))
+        return arrays[0] if arrays[0].shape[0] == rows else arrays[0][:rows]
 
 
 @contextlib.contextmanager
@@ -503,21 +522,34 @@ def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
     return _make(np.add(a.data, v.data, out=empty(a.shape)), (a, v), "add_rowvec", backward)
 
 
-def softmax_rows(a: Tensor) -> Tensor:
+def softmax_rows(a: Tensor, scale: float | None = None) -> Tensor:
+    """Softmax of each row; with ``scale``, of each row times ``scale``.
+
+    ``scale`` multiplies ``a`` in the output's own buffer: the same float
+    operations as ``softmax_rows(scale(a, c))``, without a second output
+    array.
+    """
     _need_rows(a, "softmax_rows")
     # exp(x - max) / sum, computed in one buffer
     x = a.data
-    p = np.subtract(x, x.max(axis=-1, keepdims=True, out=_row_stat(x)), out=empty(x.shape))
+    if scale is None:
+        p = np.subtract(x, x.max(axis=-1, keepdims=True, out=_row_stat(x)), out=empty(x.shape))
+    else:
+        scale = float(scale)
+        p = np.multiply(x, scale, out=empty(x.shape))
+        p -= p.max(axis=-1, keepdims=True, out=_row_stat(p))
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True, out=_row_stat(p))
 
     def backward(out):
-        # dL/dx = P * (g - sum_j g_j P_j) row-wise, in one buffer
+        # dL/dx = P * (g - sum_j g_j P_j) row-wise, in one buffer, times scale
         g = out.grad
         dx = np.multiply(g, p, out=empty(p.shape))
         dot = dx.sum(axis=-1, keepdims=True, out=_row_stat(dx))
         np.subtract(g, dot, out=dx)
         dx *= p
+        if scale is not None:
+            dx *= scale
         a.accumulate(dx, fresh=True)
 
     return _make(p, (a,), "softmax_rows", backward)
@@ -588,15 +620,149 @@ def layer_norm(a: Tensor, eps: float = _LN_EPS) -> Tensor:
     return _make(y, (a,), "layer_norm", backward)
 
 
+# erf as in FreeBSD msun's s_erf.c (after Cody, Math. Comp. 23, 1969): each
+# region's rational approximation in Horner form, coefficients lowest first.
+# |x| < 0.84375: erf(x) = x + x * PP(x^2) / QQ(x^2)
+_ERF_PP = (1.28379167095512558561e-01, -3.25042107247001499370e-01,
+           -2.84817495755985104766e-02, -5.77027029648944159157e-03,
+           -2.37630166566501626084e-05)
+_ERF_QQ = (1.0, 3.97917223959155352819e-01, 6.50222499887672944485e-02,
+           5.08130628187576562776e-03, 1.32494738004321644526e-04,
+           -3.96022827877536812320e-06)
+# 0.84375 <= |x| < 1.25: erf(|x|) = ERX + PA(|x| - 1) / QA(|x| - 1)
+_ERF_ERX = 8.45062911510467529297e-01
+_ERF_PA = (-2.36211856075265944077e-03, 4.14856118683748331666e-01,
+           -3.72207876035701323847e-01, 3.18346619901161753674e-01,
+           -1.10894694282396677476e-01, 3.54783043256182359371e-02,
+           -2.16637559486879084300e-03)
+_ERF_QA = (1.0, 1.06420880400844228286e-01, 5.40397917702171048937e-01,
+           7.18286544141962662868e-02, 1.26171219808761642112e-01,
+           1.36370839120290507362e-02, 1.19844998467991074170e-02)
+# 1.25 <= |x| < 6: erfc(|x|) = exp(-z^2 - 0.5625) * exp((z - |x|)(z + |x|) + R(s) / S(s)) / |x|,
+# s = 1 / x^2, z = |x| with the low 32 bits of its mantissa cleared; (RA, SA) below
+# _ERF_MID_END (the double whose high word is 0x4006DB6E, about 1 / 0.35), else (RB, SB).
+# erf(x) rounds to +-1 from |x| = 6 on.
+_ERF_RA = (-9.86494403484714822705e-03, -6.93858572707181764372e-01,
+           -1.05586262253232909814e+01, -6.23753324503260060396e+01,
+           -1.62396669462573470355e+02, -1.84605092906711035994e+02,
+           -8.12874355063065934246e+01, -9.81432934416914548592e+00)
+_ERF_SA = (1.0, 1.96512716674392571292e+01, 1.37657754143519042600e+02,
+           4.34565877475229228821e+02, 6.45387271733267880336e+02,
+           4.29008140027567833386e+02, 1.08635005541779435134e+02,
+           6.57024977031928170135e+00, -6.04244152148580987438e-02)
+_ERF_RB = (-9.86494292470009928597e-03, -7.99283237680523006574e-01,
+           -1.77579549177547519889e+01, -1.60636384855821916062e+02,
+           -6.37566443368389627722e+02, -1.02509513161107724954e+03,
+           -4.83519191608651397019e+02)
+_ERF_SB = (1.0, 3.03380607434824582924e+01, 3.25792512996573918826e+02,
+           1.53672958608443695994e+03, 3.19985821950859553908e+03,
+           2.55305040643316442583e+03, 4.74528541206955367215e+02,
+           -2.24409524465858183362e+01)
+_ERF_SMALL_END = 0.84375
+# |x| >= 0.84375 exactly when fl(x * x) >= 0.84375**2 (exact): rounding is monotone
+# and x * x for the double below 0.84375 rounds two ulps under it.
+_ERF_SMALL_END_SQ = _ERF_SMALL_END ** 2
+_ERF_NEAR_END = 1.25
+_ERF_MID_END = float(np.array(0x4006DB6E << 32, dtype=np.uint64).view(np.float64))
+_ERF_ONE_FROM = 6.0
+_HIGH_WORD = np.uint64(0xFFFFFFFF00000000)
+# rows of an erf call's scratch block: 2 that live through the call, 3 more for
+# the tail below 1.25 and 5 for its part past 1.25
+_ERF_WORK_ROWS = 10
+
+
+def _rational(s: np.ndarray, num: tuple, den: tuple, out: np.ndarray,
+              den_buf: np.ndarray) -> np.ndarray:
+    """``out = num(s) / den(s)``, each polynomial by Horner's rule as s_erf.c nests it."""
+    for poly, buf in ((num, out), (den, den_buf)):
+        np.multiply(s, poly[-1], out=buf)
+        for c in poly[-2:0:-1]:
+            buf += c
+            buf *= s
+        buf += poly[0]
+    out /= den_buf
+    return out
+
+
+def _gather(values: np.ndarray, mask: np.ndarray, out_row: np.ndarray):
+    """The indices where ``mask`` holds and ``values`` there, in the head of ``out_row``."""
+    where = np.flatnonzero(mask)
+    # any mode but "raise" spares take a defensive copy of its output
+    return where, np.take(values, where, out=out_row[:where.size], mode="clip")
+
+
+def _erf_far(f: np.ndarray, work: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """erf of the values ``f``, each in [1.25, 6], as ``1 - erfc``, in ``work``'s rows."""
+    n = f.size
+    s = np.multiply(f, f, out=work[0, :n])
+    np.divide(1.0, s, out=s)
+    ratio = _rational(s, _ERF_RA, _ERF_SA, work[1, :n], work[2, :n])
+    above, s_above = _gather(s, np.greater_equal(f, _ERF_MID_END, out=mask[:n]), work[2])
+    if above.size:
+        k = above.size
+        ratio[above] = _rational(s_above, _ERF_RB, _ERF_SB, work[3, :k], work[4, :k])
+    # erfc = exp(-z*z - 0.5625) * exp((z - f) * (z + f) + R/S) / f
+    z = np.bitwise_and(f.view(np.uint64), _HIGH_WORD, out=s.view(np.uint64)).view(np.float64)
+    arg = np.subtract(z, f, out=work[2, :n])
+    erfc = np.add(z, f, out=work[3, :n])
+    arg *= erfc
+    arg += ratio
+    np.exp(arg, out=arg)
+    np.multiply(z, z, out=erfc)
+    np.subtract(-0.5625, erfc, out=erfc)
+    np.exp(erfc, out=erfc)
+    erfc *= arg
+    erfc /= f
+    return np.subtract(1.0, erfc, out=erfc)
+
+
+def _erf_tail(xt: np.ndarray, work: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """erf of the values ``xt``, each with |x| >= 0.84375, in ``work``'s rows."""
+    n = xt.size
+    t = np.abs(xt, out=work[0, :n])
+    np.minimum(t, _ERF_ONE_FROM, out=t)  # erf(6) rounds to 1, as at every larger value
+    far, f = _gather(t, np.greater_equal(t, _ERF_NEAR_END, out=mask[:n]), work[1])
+    near = _rational(np.subtract(t, 1.0, out=work[0, :n]), _ERF_PA, _ERF_QA,
+                     work[2, :n], work[3, :n])
+    near += _ERF_ERX
+    if far.size:
+        near[far] = _erf_far(f, work[3:], mask)
+    return np.copysign(near, xt, out=near)
+
+
+def _erf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """erf of the C-contiguous array ``x`` into the C-contiguous ``out``, which may be ``x``.
+
+    Within 1 ulp of the correctly rounded value.  The rational for
+    |x| < 0.84375 runs over the whole array; every other region runs only
+    over the elements that fall in it, gathered by the indices of a boolean
+    mask, and their results are scattered back.  Scratch arrays come from
+    :func:`empty`, as one block per call.
+    """
+    flat = x.reshape(-1)
+    size = flat.size
+    work = empty((_ERF_WORK_ROWS, size))
+    mask = empty((size,), np.bool_)
+    # x + x * PP(x^2) / QQ(x^2); values past the region may overflow and are replaced
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.multiply(flat, flat, out=work[2])
+        tail, xt = _gather(flat, np.greater_equal(z, _ERF_SMALL_END_SQ, out=mask), work[1])
+        y = _rational(z, _ERF_PP, _ERF_QQ, work[0], work[3])
+        y *= flat
+    # rows 0 and 1 hold y and the tail's values; the tail works in the rest
+    near = _erf_tail(xt, work[2:], mask) if tail.size else None
+    np.add(flat, y, out=out.reshape(-1))
+    if tail.size:
+        out.reshape(-1)[tail] = near
+    return out
+
+
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) Gaussian error linear unit."""
-    # Imported here to keep scipy.special off the cold start of every verb.
-    from scipy.special import erf
-
     x = a.data
     # cdf = 0.5 * (1 + erf(x / sqrt 2)), in one buffer
     cdf = np.multiply(x, _INV_SQRT2, out=empty(x.shape))
-    erf(cdf, out=cdf)
+    _erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
 

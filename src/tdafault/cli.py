@@ -48,7 +48,7 @@ from .decompose import decompose_additive, estimate_period
 from .features import WindowSpec
 from .matio import MatFormatError
 from .metrics import ConfusionMatrix, EvalReport
-from .model import ModelConfig, TdaEncoder
+from .model import ModelConfig, TdaEncoder, check_value_types
 from .movavg import MaConfig
 from .train import TrainConfig, evaluate
 from .train import train as fit
@@ -107,10 +107,7 @@ def _merged(section: dict, defaults: dict, **flag_overrides) -> dict:
         raise ValueError(f"unknown config keys: {unknown}")
     out = dict(section)
     out.update({k: v for k, v in flag_overrides.items() if v is not None})
-    for key, value in out.items():
-        want = type(defaults[key])
-        if type(value) is not want and not (want is float and type(value) is int):
-            raise ValueError(f"config key {key!r} must be {want.__name__}, got {value!r}")
+    check_value_types(out, defaults, "config key")
     return out
 
 
@@ -291,7 +288,10 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     dataset = load_features(args.features)
     checkpoint = _load_json_object(args.checkpoint, "checkpoint")
-    model = TdaEncoder.from_dict(checkpoint)
+    try:
+        model = TdaEncoder.from_dict(checkpoint)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {args.checkpoint}: {exc}") from None
     labels = list(dataset.labels)
     if checkpoint.get("labels", labels) != labels or model.cfg.n_classes != len(labels):
         raise ValueError(f"checkpoint {args.checkpoint} ({model.cfg.n_classes} classes, labels "

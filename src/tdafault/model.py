@@ -26,7 +26,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .features import CHANNEL_MAP
 
-__all__ = ["ModelConfig", "TdaEncoder"]
+__all__ = ["ModelConfig", "TdaEncoder", "check_value_types"]
 
 ATTENTION_MODES = ("tda", "standard")
 CHECKPOINT_VERSION = 2
@@ -67,6 +67,18 @@ class ModelConfig:
             raise ValueError(f"attention must be one of {ATTENTION_MODES}, got {self.attention!r}")
         if self.ffn_mult < 1:
             raise ValueError(f"ffn_mult must be >= 1, got {self.ffn_mult}")
+
+
+def check_value_types(values: dict, defaults: dict, what: str) -> None:
+    """Reject a value whose type is not its default's.
+
+    An int may stand for a float; a bool is never a number.  ``what`` names
+    the keys in the error.
+    """
+    for key, value in values.items():
+        want = type(defaults[key])
+        if type(value) is not want and not (want is float and type(value) is int):
+            raise ValueError(f"{what} {key!r} must be {want.__name__}, got {value!r}")
 
 
 def sinusoidal_positions(t_max: int, d_model: int) -> np.ndarray:
@@ -197,14 +209,14 @@ class TdaEncoder:
         scores = ad.matmul(q, ad.transpose(k))
         inv_sqrt = 1.0 / np.sqrt(self.cfg.d_k // heads)
         if self.cfg.attention == "standard":
-            out = ad.matmul(ad.softmax_rows(ad.scale(scores, inv_sqrt)), ad.add(v_trend, v_season))
+            out = ad.matmul(ad.softmax_rows(scores, inv_sqrt), ad.add(v_trend, v_season))
         else:
             out = None
             for a_raw, values in ((layer["attn.a_trend"], v_trend),
                                   (layer["attn.a_season"], v_season)):
                 # exp(a)[h, :T] scales score column j, the key at position j
                 biased = ad.mul_rowvec(scores, ad.exp(a_raw))
-                weights = ad.softmax_rows(ad.scale(biased, inv_sqrt))
+                weights = ad.softmax_rows(biased, inv_sqrt)
                 branch = ad.matmul(weights, values)
                 out = branch if out is None else ad.add(out, branch)
         return ad.matmul(ad.merge_heads(out, heads), layer["attn.w_o"])
@@ -268,9 +280,11 @@ class TdaEncoder:
         config, stored = d["config"], d["params"]
         if not isinstance(config, dict) or not isinstance(stored, dict):
             raise ValueError("checkpoint config and params must be JSON objects")
-        unknown = sorted(set(config) - set(ModelConfig.__dataclass_fields__))
+        defaults = {name: f.default for name, f in ModelConfig.__dataclass_fields__.items()}
+        unknown = sorted(set(config) - set(defaults))
         if unknown:
             raise ValueError(f"unknown checkpoint config keys: {unknown}")
+        check_value_types(config, defaults, "config key")
         model = cls(ModelConfig(**config))
         params = model.parameters()
         if version == 1:  # join each layer's per-head tensors into whole matrices
@@ -286,10 +300,15 @@ class TdaEncoder:
         if missing:
             raise ValueError(f"checkpoint parameter names do not match model: {sorted(missing)}")
         for name, tensor in params.items():
-            arr = np.asarray(stored[name], dtype=np.float64)
+            try:
+                arr = np.asarray(stored[name], dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"checkpoint parameter {name} is not numeric: {exc}") from None
             if arr.shape != tensor.data.shape:
                 raise ValueError(
                     f"checkpoint shape mismatch for {name}: {arr.shape} vs {tensor.data.shape}"
                 )
+            if not np.isfinite(arr).all():
+                raise ValueError(f"checkpoint parameter {name} holds non-finite values")
             tensor.data = arr
         return model

@@ -2,6 +2,8 @@
 
 import contextlib
 import json
+import math
+import warnings
 import weakref
 from pathlib import Path
 
@@ -594,6 +596,136 @@ class TestBufferPool:
         for (loss_a, w_a), (loss_b, w_b) in zip(*results):
             assert loss_a == loss_b
             np.testing.assert_array_equal(w_a, w_b)
+
+
+    def test_shorter_request_borrows_leading_rows(self):
+        pool = ad.BufferPool()
+        full = pool.empty((32, 4, 5))
+        full_ref = weakref.ref(full)
+        del full
+        tail = pool.empty((4, 4, 5))  # a leading-rows view of the idle full array
+        assert tail.shape == (4, 4, 5) and tail.flags.c_contiguous
+        assert tail.base is full_ref()
+        other = pool.empty((32, 4, 5))  # the view keeps its base in use
+        assert other is not full_ref() and not np.shares_memory(other, tail)
+        assert not np.shares_memory(pool.empty((4, 5, 4)), tail)  # another trailing shape
+        del tail
+        assert pool.empty((32, 4, 5)) is full_ref()  # the exact length is handed out whole
+
+    def test_shortest_longer_array_is_borrowed(self):
+        pool = ad.BufferPool()
+        arrays = [pool.empty((n, 3)) for n in (32, 8, 16)]
+        refs = [weakref.ref(a) for a in arrays]
+        del arrays
+        lent = pool.empty((5, 3))
+        assert lent.base is refs[1]()
+        assert pool.empty((8, 3)).base is refs[2]()  # 8 rows are lent out: 16 is next
+        assert pool.empty((1,)).shape == (1,) and pool.empty(()).shape == ()
+
+    def test_pooled_mixed_batch_sizes_match_unpooled(self):
+        # Full and short batches in turn: the short ones run in views of full arrays.
+        rng = np.random.default_rng(99)
+        batches = [rng.normal(size=(n, 5, 8)) for n in (4, 1, 4, 3, 4)]
+        results = []
+        for pooled in (False, True):
+            w = Tensor(np.random.default_rng(98).normal(size=(8, 8)), requires_grad=True)
+            steps = []
+            with ad.buffer_pool() if pooled else contextlib.nullcontext():
+                for x in batches:
+                    zero_grad([w])
+                    h = ad.gelu(ad.layer_norm(ad.matmul(Tensor(x), w)))
+                    loss = scalarize(ad.softmax_rows(h, 0.25))
+                    loss.backward()
+                    w.data -= 0.1 * w.grad
+                    steps.append((loss.item(), w.data.copy()))
+            results.append(steps)
+        for (loss_a, w_a), (loss_b, w_b) in zip(*results):
+            assert loss_a == loss_b
+            np.testing.assert_array_equal(w_a, w_b)
+
+
+def _ulps(got: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """Distance in units in the last place, counting across zero (+0 and -0 are 0 apart)."""
+    def ordered(x):
+        bits = x.view(np.int64)
+        return np.where(bits < 0, np.int64(-2**63) - bits, bits)
+    return np.abs(ordered(got) - ordered(want))
+
+
+def _math_erf(x: np.ndarray) -> np.ndarray:
+    return np.array([math.erf(v) for v in x.ravel()]).reshape(x.shape)
+
+
+# s_erf.c's 1/0.35 edge: the double whose high word is 0x4006DB6E, low word 0
+_ONE_OVER_0_35 = float(np.array(0x4006DB6E << 32, dtype=np.uint64).view(np.float64))
+
+
+class TestErf:
+    """The GELU's erf kernel against ``math.erf`` (the C library's erf)."""
+
+    def erf(self, x):
+        return ad._erf(x, np.empty_like(x))
+
+    @pytest.mark.parametrize("sigma", [None, 0.3, 1.0, 3.0], ids=["grid", "0.3", "1", "3"])
+    def test_within_one_ulp(self, sigma):
+        if sigma is None:
+            x = np.linspace(-7.0, 7.0, 140_001)
+        else:
+            x = np.random.default_rng(110).normal(0.0, sigma, size=(50, 16, 64))
+        assert _ulps(self.erf(x), _math_erf(x)).max() <= 1
+
+    @pytest.mark.parametrize("edge", [0.84375, 1.25, _ONE_OVER_0_35, 6.0],
+                             ids=["0.84375", "1.25", "1/0.35", "6"])
+    def test_region_boundaries(self, edge):
+        below, above = [edge], [edge]
+        for _ in range(8):
+            below.append(np.nextafter(below[-1], 0.0))
+            above.append(np.nextafter(above[-1], np.inf))
+        half = np.array(below[::-1] + above[1:])
+        x = np.concatenate([half, -half])
+        assert _ulps(self.erf(x), _math_erf(x)).max() <= 1
+
+    def test_zeros_subnormals_and_huge_values(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        x = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, 1e-310, -2.2e-308, 1e-300, 2.0**-28,
+                      1e-9, 6.5, 1e10, 1e300, -1e300, np.finfo(np.float64).max])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = self.erf(x)
+        assert _ulps(got, _math_erf(x)).max() <= 1
+        assert np.signbit(got[1]) and not np.signbit(got[0])
+        np.testing.assert_array_equal(got[-5:], [1.0, 1.0, 1.0, -1.0, 1.0])
+
+    def test_exactly_odd(self):
+        x = np.random.default_rng(111).normal(0.0, 2.0, size=20_000)
+        assert self.erf(-x).tobytes() == (-self.erf(x)).tobytes()
+
+    def test_in_place_and_pooled_calls_agree(self):
+        x = np.random.default_rng(112).normal(0.0, 1.5, size=(4, 16, 64))
+        want = self.erf(x)
+        with ad.buffer_pool():
+            for _ in range(2):
+                inplace = x.copy()
+                assert ad._erf(inplace, inplace) is inplace
+                assert inplace.tobytes() == want.tobytes()
+
+
+class TestFusedSoftmaxScale:
+    @pytest.mark.parametrize("shape", [(4, 6), (3, 4, 6)])
+    def test_equals_softmax_of_scale_bit_for_bit(self, shape):
+        a = rand_tensor(shape, 113, scale=3.0)
+        fused = ad.softmax_rows(a, 0.25)
+        scalarize(fused).backward()
+        fused_grad = a.grad.copy()
+        zero_grad([a])
+        split = ad.softmax_rows(ad.scale(a, 0.25))
+        scalarize(split).backward()
+        assert fused.data.tobytes() == split.data.tobytes()
+        assert fused_grad.tobytes() == a.grad.tobytes()
+
+    def test_gradients(self):
+        a = rand_tensor((3, 4, 6), 114, scale=2.0)
+        assert grad_check(lambda: scalarize(ad.softmax_rows(a, -0.7)), [a], h=1e-5) < 1e-6
 
 
 class TestFusedBias:
