@@ -121,31 +121,41 @@ class BufferPool:
     """
 
     def __init__(self):
-        self._arrays: dict = {}  # (shape[1:], dtype) -> arrays, the last handed out first
+        # (shape[1:], dtype) -> {shape[0]: arrays, the last handed out first}
+        self._arrays: dict = {}
 
     def empty(self, shape: tuple, dtype=np.float64) -> np.ndarray:
         if not shape:
             return self.empty((1,), dtype).reshape(())
         rows = shape[0]
-        arrays = self._arrays.get((shape[1:], dtype))
+        by_rows = self._arrays.get((shape[1:], dtype))
+        if by_rows is None:
+            by_rows = self._arrays[(shape[1:], dtype)] = {}
+        arrays = by_rows.get(rows)
         if arrays is None:
-            arrays = self._arrays[(shape[1:], dtype)] = []
-        # Newest first, as malloc reuses the block freed last: a temporary
-        # released a moment ago is handed out again while it is in cache.
-        best = None
-        for i in range(len(arrays)):
-            if sys.getrefcount(arrays[i]) == _IDLE_REFS:
-                have = arrays[i].shape[0]
-                if have == rows:
-                    best = i
-                    break
-                if have > rows and (best is None or have < arrays[best].shape[0]):
-                    best = i
-        if best is None:
-            arrays.insert(0, np.empty(shape, dtype))
+            arrays = by_rows[rows] = []
+        found = _idle_first(arrays)
+        if found is not None:
+            return found
+        for longer in sorted(n for n in by_rows if n > rows):
+            found = _idle_first(by_rows[longer])
+            if found is not None:
+                return found[:rows]
+        arrays.insert(0, np.empty(shape, dtype))
+        return arrays[0]
+
+
+def _idle_first(arrays: list) -> np.ndarray | None:
+    """Move the first array that only ``arrays`` references to the front and return it.
+
+    Newest first, as malloc reuses the block freed last: a temporary
+    released a moment ago is handed out again while it is in cache.
+    """
+    for i in range(len(arrays)):
+        if sys.getrefcount(arrays[i]) == _IDLE_REFS:
+            arrays.insert(0, arrays.pop(i))
             return arrays[0]
-        arrays.insert(0, arrays.pop(best))
-        return arrays[0] if arrays[0].shape[0] == rows else arrays[0][:rows]
+    return None
 
 
 @contextlib.contextmanager
