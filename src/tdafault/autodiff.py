@@ -34,9 +34,9 @@ adjoints work in place on the arrays they allocate (softmax, layer norm,
 GELU), in the same float operations and order as the textbook formulas.
 :func:`matmul` takes an optional ``bias`` row added into the product's own
 buffer, which is how the model applies every bias; ``add_rowvec`` stays in
-the catalog as the standalone form.  Likewise :func:`softmax_rows` takes an
-optional ``scale`` applied in its own buffer, which is how the model applies
-attention's ``1/sqrt(d_k)``; ``scale`` stays in the catalog.
+the catalog as the standalone form.  Likewise :func:`softmax_rows` takes a
+``scale`` (default 1.0) applied in its own buffer, which is how the model
+applies attention's ``1/sqrt(d_k)``; ``scale`` stays in the catalog.
 
 GELU's ``erf`` is computed here with numpy alone (:func:`_erf`, a port of
 FreeBSD msun's ``s_erf.c``), within 1 ulp of the correctly rounded value.
@@ -532,34 +532,29 @@ def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
     return _make(np.add(a.data, v.data, out=empty(a.shape)), (a, v), "add_rowvec", backward)
 
 
-def softmax_rows(a: Tensor, scale: float | None = None) -> Tensor:
-    """Softmax of each row; with ``scale``, of each row times ``scale``.
+def softmax_rows(a: Tensor, scale: float = 1.0) -> Tensor:
+    """Softmax of each row of ``a`` times ``scale``.
 
     ``scale`` multiplies ``a`` in the output's own buffer: the same float
     operations as ``softmax_rows(scale(a, c))``, without a second output
-    array.
+    array.  Multiplying by 1.0 is exact, so the default changes no bit.
     """
     _need_rows(a, "softmax_rows")
-    # exp(x - max) / sum, computed in one buffer
-    x = a.data
-    if scale is None:
-        p = np.subtract(x, x.max(axis=-1, keepdims=True, out=_row_stat(x)), out=empty(x.shape))
-    else:
-        scale = float(scale)
-        p = np.multiply(x, scale, out=empty(x.shape))
-        p -= p.max(axis=-1, keepdims=True, out=_row_stat(p))
+    scale = float(scale)
+    # exp(x * scale - max) / sum, computed in one buffer
+    p = np.multiply(a.data, scale, out=empty(a.shape))
+    p -= p.max(axis=-1, keepdims=True, out=_row_stat(p))
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True, out=_row_stat(p))
 
     def backward(out):
-        # dL/dx = P * (g - sum_j g_j P_j) row-wise, in one buffer, times scale
+        # dL/dx = P * (g - sum_j g_j P_j) * scale row-wise, in one buffer
         g = out.grad
         dx = np.multiply(g, p, out=empty(p.shape))
         dot = dx.sum(axis=-1, keepdims=True, out=_row_stat(dx))
         np.subtract(g, dot, out=dx)
         dx *= p
-        if scale is not None:
-            dx *= scale
+        dx *= scale
         a.accumulate(dx, fresh=True)
 
     return _make(p, (a,), "softmax_rows", backward)
@@ -704,7 +699,7 @@ def _gather(values: np.ndarray, mask: np.ndarray, out_row: np.ndarray):
 def _erf_far(f: np.ndarray, work: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """erf of the values ``f``, each in [1.25, 6], as ``1 - erfc``, in ``work``'s rows."""
     n = f.size
-    s = np.multiply(f, f, out=work[0, :n])
+    s = np.square(f, out=work[0, :n])
     np.divide(1.0, s, out=s)
     ratio = _rational(s, _ERF_RA, _ERF_SA, work[1, :n], work[2, :n])
     above, s_above = _gather(s, np.greater_equal(f, _ERF_MID_END, out=mask[:n]), work[2])
@@ -718,7 +713,7 @@ def _erf_far(f: np.ndarray, work: np.ndarray, mask: np.ndarray) -> np.ndarray:
     arg *= erfc
     arg += ratio
     np.exp(arg, out=arg)
-    np.multiply(z, z, out=erfc)
+    np.square(z, out=erfc)
     np.subtract(-0.5625, erfc, out=erfc)
     np.exp(erfc, out=erfc)
     erfc *= arg
@@ -755,7 +750,7 @@ def _erf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     mask = empty((size,), np.bool_)
     # x + x * PP(x^2) / QQ(x^2); values past the region may overflow and are replaced
     with np.errstate(over="ignore", invalid="ignore"):
-        z = np.multiply(flat, flat, out=work[2])
+        z = np.square(flat, out=work[2])
         tail, xt = _gather(flat, np.greater_equal(z, _ERF_SMALL_END_SQ, out=mask), work[1])
         y = _rational(z, _ERF_PP, _ERF_QQ, work[0], work[3])
         y *= flat

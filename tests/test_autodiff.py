@@ -728,6 +728,18 @@ class TestFusedSoftmaxScale:
         a = rand_tensor((3, 4, 6), 114, scale=2.0)
         assert grad_check(lambda: scalarize(ad.softmax_rows(a, -0.7)), [a], h=1e-5) < 1e-6
 
+    def test_default_scale_is_the_textbook_softmax_bit_for_bit(self):
+        a = rand_tensor((3, 4, 6), 115, scale=3.0)
+        g = np.random.default_rng(116).normal(size=a.shape)
+        p = ad.softmax_rows(a)
+        p.grad = g
+        p._backward()  # the adjoint alone, on the upstream gradient g
+        e = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        assert p.data.tobytes() == want.tobytes()
+        want_grad = (g - (g * want).sum(axis=-1, keepdims=True)) * want
+        assert a.grad.tobytes() == want_grad.tobytes()
+
 
 class TestFusedBias:
     @pytest.mark.parametrize("shape", [(4, 6), (3, 4, 6)])

@@ -560,8 +560,7 @@ def _checkout_env():
 
 
 def test_cli_import_loads_no_scipy():
-    # Every verb pays this import at start-up; scipy submodules are imported
-    # inside the functions that call them, so the import itself loads none.
+    # Every verb pays this import at start-up; no tdafault module imports scipy.
     env = _checkout_env()
     code = ("import sys, tdafault.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
