@@ -32,6 +32,8 @@ products of gradients sum in the same order and give the same bits.
 Adjoints never write into the incoming ``out.grad``; forward passes and
 adjoints work in place on the arrays they allocate (softmax, layer norm,
 GELU), in the same float operations and order as the textbook formulas.
+Those arrays come from ``np.empty`` and are filled through ``out=``, so they
+are C-contiguous whatever their inputs' layout, which adoption requires.
 :func:`matmul` takes an optional ``bias`` row added into the product's own
 buffer, which is how the model applies every bias; ``add_rowvec`` stays in
 the catalog as the standalone form.  Likewise :func:`softmax_rows` takes a
@@ -40,12 +42,6 @@ applies attention's ``1/sqrt(d_k)``; ``scale`` stays in the catalog.
 
 GELU's ``erf`` is computed here with numpy alone (:func:`_erf`, a port of
 FreeBSD msun's ``s_erf.c``), within 1 ulp of the correctly rounded value.
-
-Inside a :func:`buffer_pool` block every array an op, an adjoint or
-``accumulate`` makes comes from a pool of recycled buffers (see
-:class:`BufferPool`), so a training step reuses the previous step's memory
-instead of returning it to the operating system; outside one, ops allocate
-fresh arrays.  Either way the float operations are the same.
 """
 
 from __future__ import annotations
@@ -53,7 +49,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import itertools
-import sys
 import weakref
 
 import numpy as np
@@ -82,9 +77,6 @@ __all__ = [
     "grad_check",
     "zero_grad",
     "no_grad",
-    "BufferPool",
-    "buffer_pool",
-    "empty",
 ]
 
 _SEQ = itertools.count()
@@ -93,103 +85,6 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # False inside a no_grad block (per thread and per asyncio task)
 _GRAD_ENABLED = contextvars.ContextVar("tdafault_grad_enabled", default=True)
-# The BufferPool of the innermost buffer_pool block, or None
-_POOL = contextvars.ContextVar("tdafault_buffer_pool", default=None)
-
-
-def _idle_refs() -> int:
-    """``sys.getrefcount(arrays[i])`` of an array that only the list ``arrays`` holds."""
-    arrays = [np.empty(0)]
-    return sys.getrefcount(arrays[0])
-
-
-_IDLE_REFS = _idle_refs()
-
-
-class BufferPool:
-    """Arrays recycled by dtype and trailing shape.
-
-    :meth:`empty` hands out an array that nothing outside the pool
-    references, as its reference count shows.  That is a pooled array of
-    the requested shape if one is idle, else a leading-rows view of the
-    shortest idle array with the same trailing shape and a longer leading
-    axis, else a new array that joins the pool.  So a batch shorter than the
-    others (a training set's last batch, say) borrows the full batches'
-    arrays.  An array stays in use while any tensor, closure or view (a view
-    holds its base) keeps it, so a request never gets memory that is still
-    read.  The pool holds on to its arrays until it is dropped.
-    """
-
-    def __init__(self):
-        # (shape[1:], dtype) -> {shape[0]: arrays, the last handed out first}
-        self._arrays: dict = {}
-
-    def empty(self, shape: tuple, dtype=np.float64) -> np.ndarray:
-        if not shape:
-            return self.empty((1,), dtype).reshape(())
-        rows = shape[0]
-        by_rows = self._arrays.get((shape[1:], dtype))
-        if by_rows is None:
-            by_rows = self._arrays[(shape[1:], dtype)] = {}
-        arrays = by_rows.get(rows)
-        if arrays is None:
-            arrays = by_rows[rows] = []
-        found = _idle_first(arrays)
-        if found is not None:
-            return found
-        for longer in sorted(n for n in by_rows if n > rows):
-            found = _idle_first(by_rows[longer])
-            if found is not None:
-                return found[:rows]
-        arrays.insert(0, np.empty(shape, dtype))
-        return arrays[0]
-
-
-def _idle_first(arrays: list) -> np.ndarray | None:
-    """Move the first array that only ``arrays`` references to the front and return it.
-
-    Newest first, as malloc reuses the block freed last: a temporary
-    released a moment ago is handed out again while it is in cache.
-    """
-    for i in range(len(arrays)):
-        if sys.getrefcount(arrays[i]) == _IDLE_REFS:
-            arrays.insert(0, arrays.pop(i))
-            return arrays[0]
-    return None
-
-
-@contextlib.contextmanager
-def buffer_pool():
-    """Draw every array the ops allocate inside the block from one new :class:`BufferPool`.
-
-    The pool and its arrays are released on exit; arrays still referenced
-    then (a parameter's ``grad``, say) stay valid.
-    """
-    token = _POOL.set(BufferPool())
-    try:
-        yield
-    finally:
-        _POOL.reset(token)
-
-
-def empty(shape: tuple, dtype=np.float64) -> np.ndarray:
-    """An uninitialised array: from the active :func:`buffer_pool`, else ``np.empty``."""
-    pool = _POOL.get()
-    return np.empty(shape, dtype) if pool is None else pool.empty(shape, dtype)
-
-
-def _empty_like(x: np.ndarray) -> np.ndarray:
-    """``np.empty_like(x)``, from the pool when ``x`` or its last-two-axes swap is C-contiguous."""
-    if x.flags.c_contiguous:
-        return empty(x.shape)
-    if x.ndim >= 2 and _swap(x).flags.c_contiguous:
-        return _swap(empty(_swap(x).shape))
-    return np.empty_like(x)
-
-
-def _row_stat(x: np.ndarray) -> np.ndarray:
-    """A buffer for one statistic per row of ``x`` (``keepdims`` over the last axis)."""
-    return empty(x.shape[:-1] + (1,))
 
 
 class NumericsError(ArithmeticError):
@@ -207,7 +102,7 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim > 3:
             raise ValueError(f"rank {arr.ndim} tensor not supported (max 3)")
-        if not np.isfinite(arr, out=empty(arr.shape, np.bool_)).all():
+        if not np.isfinite(arr).all():
             raise NumericsError(f"non-finite values in result of op {_op!r}")
         self.data = arr
         self.requires_grad = requires_grad
@@ -237,7 +132,7 @@ class Tensor:
               and self.data.flags.c_contiguous):
             self.grad = g
         else:
-            self.grad = _empty_like(self.data)
+            self.grad = np.empty_like(self.data)
             self.grad[...] = g
 
     def backward(self) -> None:
@@ -334,18 +229,18 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     def backward(out):
         g = out.grad
         if a.requires_grad:
-            a.accumulate(np.matmul(g, _swap(b.data), out=empty(a.shape)), fresh=True)
+            a.accumulate(np.matmul(g, _swap(b.data), out=np.empty(a.shape)), fresh=True)
         if b.requires_grad:
             if shared:
                 gb = np.matmul(a.data.reshape(-1, a.shape[-1]).T, g.reshape(-1, g.shape[-1]),
-                               out=empty(b.shape))
+                               out=np.empty(b.shape))
             else:
-                gb = np.matmul(_swap(a.data), g, out=empty(b.shape))
+                gb = np.matmul(_swap(a.data), g, out=np.empty(b.shape))
             b.accumulate(gb, fresh=True)
         if bias is not None and bias.requires_grad:
             bias.accumulate(_batch_sum(g, g.shape[-1]), fresh=True)
 
-    y = np.matmul(a.data, b.data, out=empty(a.shape[:-1] + b.shape[-1:]))
+    y = np.matmul(a.data, b.data, out=np.empty(a.shape[:-1] + b.shape[-1:]))
     parents = (a, b)
     if bias is not None:
         y += bias.data
@@ -366,7 +261,7 @@ def transpose(a: Tensor) -> Tensor:
 def _split(x: np.ndarray, heads: int) -> np.ndarray:
     """Copy of ``(B, T, heads*d)`` as ``(B*heads, T, d)``."""
     n_batch, t, width = x.shape
-    out = empty((n_batch * heads, t, width // heads))
+    out = np.empty((n_batch * heads, t, width // heads))
     out.reshape(n_batch, heads, t, -1)[...] = x.reshape(n_batch, t, heads, -1).swapaxes(1, 2)
     return out
 
@@ -374,7 +269,7 @@ def _split(x: np.ndarray, heads: int) -> np.ndarray:
 def _merge(x: np.ndarray, heads: int) -> np.ndarray:
     """Copy of ``(B*heads, T, d)`` as ``(B, T, heads*d)``."""
     samples, t, d = x.shape
-    out = empty((samples // heads, t, heads * d))
+    out = np.empty((samples // heads, t, heads * d))
     out.reshape(-1, t, heads, d)[...] = x.reshape(-1, heads, t, d).swapaxes(1, 2)
     return out
 
@@ -419,7 +314,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate(out.grad)
 
-    return _make(np.add(a.data, b.data, out=empty(a.shape)), (a, b), "add", backward)
+    return _make(np.add(a.data, b.data, out=np.empty(a.shape)), (a, b), "add", backward)
 
 
 def subtract(a: Tensor, b: Tensor) -> Tensor:
@@ -429,9 +324,9 @@ def subtract(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate(out.grad)
         if b.requires_grad:
-            b.accumulate(np.negative(out.grad, out=empty(b.shape)), fresh=True)
+            b.accumulate(np.negative(out.grad, out=np.empty(b.shape)), fresh=True)
 
-    return _make(np.subtract(a.data, b.data, out=empty(a.shape)), (a, b), "subtract", backward)
+    return _make(np.subtract(a.data, b.data, out=np.empty(a.shape)), (a, b), "subtract", backward)
 
 
 def multiply(a: Tensor, b: Tensor) -> Tensor:
@@ -439,25 +334,25 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(out):
         if a.requires_grad:
-            a.accumulate(np.multiply(out.grad, b.data, out=empty(a.shape)), fresh=True)
+            a.accumulate(np.multiply(out.grad, b.data, out=np.empty(a.shape)), fresh=True)
         if b.requires_grad:
-            b.accumulate(np.multiply(out.grad, a.data, out=empty(b.shape)), fresh=True)
+            b.accumulate(np.multiply(out.grad, a.data, out=np.empty(b.shape)), fresh=True)
 
-    return _make(np.multiply(a.data, b.data, out=empty(a.shape)), (a, b), "multiply", backward)
+    return _make(np.multiply(a.data, b.data, out=np.empty(a.shape)), (a, b), "multiply", backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
     def backward(out):
-        a.accumulate(np.multiply(out.grad, c, out=empty(a.shape)), fresh=True)
+        a.accumulate(np.multiply(out.grad, c, out=np.empty(a.shape)), fresh=True)
 
-    return _make(np.multiply(a.data, c, out=empty(a.shape)), (a,), "scale", backward)
+    return _make(np.multiply(a.data, c, out=np.empty(a.shape)), (a,), "scale", backward)
 
 
 def _batch_sum(x: np.ndarray, n: int) -> np.ndarray:
     """Sum a (..., n) array over every leading axis."""
-    return x.reshape(-1, n).sum(axis=0, out=empty((n,)))
+    return x.reshape(-1, n).sum(axis=0, out=np.empty((n,)))
 
 
 def mul_rowvec(a: Tensor, v: Tensor) -> Tensor:
@@ -481,19 +376,19 @@ def mul_rowvec(a: Tensor, v: Tensor) -> Tensor:
     def backward(out):
         g = out.grad.reshape(grouped.shape)
         if a.requires_grad:
-            ga = empty(a.shape)
+            ga = np.empty(a.shape)
             np.multiply(g, factors, out=ga.reshape(grouped.shape))
             a.accumulate(ga, fresh=True)
         if v.requires_grad:
-            gv = empty(v.shape)
+            gv = np.empty(v.shape)
             gv.fill(0.0)
             # row r: its samples in order, each sample's positions in order
-            by_row = empty((k, grouped.shape[0]) + grouped.shape[2:])
+            by_row = np.empty((k, grouped.shape[0]) + grouped.shape[2:])
             np.multiply(np.swapaxes(g, 0, 1), np.swapaxes(grouped, 0, 1), out=by_row)
-            gv[:, :n] = by_row.reshape(k, -1, n).sum(axis=1, out=empty((k, n)))
+            gv[:, :n] = by_row.reshape(k, -1, n).sum(axis=1, out=np.empty((k, n)))
             v.accumulate(gv, fresh=True)
 
-    y = empty(a.shape)
+    y = np.empty(a.shape)
     np.multiply(grouped, factors, out=y.reshape(grouped.shape))
     return _make(y, (a, v), "mul_rowvec", backward)
 
@@ -507,12 +402,12 @@ def mul_colvec(a: Tensor, u: Tensor) -> Tensor:
 
     def backward(out):
         if a.requires_grad:
-            a.accumulate(np.multiply(out.grad, u.data[:, None], out=empty(a.shape)), fresh=True)
+            a.accumulate(np.multiply(out.grad, u.data[:, None], out=np.empty(a.shape)), fresh=True)
         if u.requires_grad:
-            prod = np.multiply(out.grad, a.data, out=empty(a.shape))
-            u.accumulate(_batch_sum(prod.sum(axis=-1, out=empty(a.shape[:-1])), m), fresh=True)
+            prod = np.multiply(out.grad, a.data, out=np.empty(a.shape))
+            u.accumulate(_batch_sum(prod.sum(axis=-1, out=np.empty(a.shape[:-1])), m), fresh=True)
 
-    return _make(np.multiply(a.data, u.data[:, None], out=empty(a.shape)), (a, u),
+    return _make(np.multiply(a.data, u.data[:, None], out=np.empty(a.shape)), (a, u),
                  "mul_colvec", backward)
 
 
@@ -529,7 +424,7 @@ def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
         if v.requires_grad:
             v.accumulate(_batch_sum(out.grad, n), fresh=True)
 
-    return _make(np.add(a.data, v.data, out=empty(a.shape)), (a, v), "add_rowvec", backward)
+    return _make(np.add(a.data, v.data, out=np.empty(a.shape)), (a, v), "add_rowvec", backward)
 
 
 def softmax_rows(a: Tensor, scale: float = 1.0) -> Tensor:
@@ -542,16 +437,16 @@ def softmax_rows(a: Tensor, scale: float = 1.0) -> Tensor:
     _need_rows(a, "softmax_rows")
     scale = float(scale)
     # exp(x * scale - max) / sum, computed in one buffer
-    p = np.multiply(a.data, scale, out=empty(a.shape))
-    p -= p.max(axis=-1, keepdims=True, out=_row_stat(p))
+    p = np.multiply(a.data, scale, out=np.empty(a.shape))
+    p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True, out=_row_stat(p))
+    p /= p.sum(axis=-1, keepdims=True)
 
     def backward(out):
         # dL/dx = P * (g - sum_j g_j P_j) * scale row-wise, in one buffer
         g = out.grad
-        dx = np.multiply(g, p, out=empty(p.shape))
-        dot = dx.sum(axis=-1, keepdims=True, out=_row_stat(dx))
+        dx = np.multiply(g, p, out=np.empty(p.shape))
+        dot = dx.sum(axis=-1, keepdims=True)
         np.subtract(g, dot, out=dx)
         dx *= p
         dx *= scale
@@ -564,10 +459,10 @@ def exp(a: Tensor) -> Tensor:
     # Overflow becomes inf here and is converted to NumericsError by the
     # Tensor constructor; the numpy warning would just be noise on top.
     with np.errstate(over="ignore"):
-        e = np.exp(a.data, out=empty(a.shape))
+        e = np.exp(a.data, out=np.empty(a.shape))
 
     def backward(out):
-        a.accumulate(np.multiply(out.grad, e, out=empty(a.shape)), fresh=True)
+        a.accumulate(np.multiply(out.grad, e, out=np.empty(a.shape)), fresh=True)
 
     return _make(e, (a,), "exp", backward)
 
@@ -583,10 +478,10 @@ def mean_rows(a: Tensor) -> Tensor:
 
     def backward(out):
         per_sample = out.grad.reshape(a.shape[:-2] + (1, n))
-        share = np.divide(per_sample, m, out=empty(per_sample.shape))
+        share = np.divide(per_sample, m, out=np.empty(per_sample.shape))
         a.accumulate(np.broadcast_to(share, a.shape))
 
-    means = a.data.mean(axis=-2, out=empty(a.shape[:-2] + (n,)))
+    means = a.data.mean(axis=-2, out=np.empty(a.shape[:-2] + (n,)))
     return _make(means.reshape(-1, n), (a,), "mean_rows", backward)
 
 
@@ -597,12 +492,12 @@ def layer_norm(a: Tensor, eps: float = _LN_EPS) -> Tensor:
     """
     _need_rows(a, "layer_norm")
     x = a.data
-    mu = x.mean(axis=-1, keepdims=True, out=_row_stat(x))
+    mu = x.mean(axis=-1, keepdims=True)
     # one buffer: first the squared centred rows, then the normalised rows
-    y = np.subtract(x, mu, out=empty(x.shape))
+    y = np.subtract(x, mu, out=np.empty(x.shape))
     np.square(y, out=y)
     # inv = 1 / sqrt(var + eps), in the variance's buffer
-    inv = y.sum(axis=-1, keepdims=True, out=_row_stat(y))
+    inv = y.sum(axis=-1, keepdims=True)
     inv /= x.shape[-1]
     inv += eps
     np.sqrt(inv, out=inv)
@@ -613,10 +508,10 @@ def layer_norm(a: Tensor, eps: float = _LN_EPS) -> Tensor:
     def backward(out):
         # inv * (g - mean(g) - y * mean(g * y)) row-wise
         g = out.grad
-        dx = np.multiply(g, y, out=empty(y.shape))
-        gy = dx.mean(axis=-1, keepdims=True, out=_row_stat(dx))
-        gm = g.mean(axis=-1, keepdims=True, out=_row_stat(g))
-        y_gy = np.multiply(y, gy, out=empty(y.shape))
+        dx = np.multiply(g, y, out=np.empty(y.shape))
+        gy = dx.mean(axis=-1, keepdims=True)
+        gm = g.mean(axis=-1, keepdims=True)
+        y_gy = np.multiply(y, gy, out=np.empty(y.shape))
         np.subtract(g, gm, out=dx)
         dx -= y_gy
         dx *= inv
@@ -741,13 +636,12 @@ def _erf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     Within 1 ulp of the correctly rounded value.  The rational for
     |x| < 0.84375 runs over the whole array; every other region runs only
     over the elements that fall in it, gathered by the indices of a boolean
-    mask, and their results are scattered back.  Scratch arrays come from
-    :func:`empty`, as one block per call.
+    mask, and their results are scattered back.
     """
     flat = x.reshape(-1)
     size = flat.size
-    work = empty((_ERF_WORK_ROWS, size))
-    mask = empty((size,), np.bool_)
+    work = np.empty((_ERF_WORK_ROWS, size))
+    mask = np.empty((size,), np.bool_)
     # x + x * PP(x^2) / QQ(x^2); values past the region may overflow and are replaced
     with np.errstate(over="ignore", invalid="ignore"):
         z = np.square(flat, out=work[2])
@@ -766,14 +660,14 @@ def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) Gaussian error linear unit."""
     x = a.data
     # cdf = 0.5 * (1 + erf(x / sqrt 2)), in one buffer
-    cdf = np.multiply(x, _INV_SQRT2, out=empty(x.shape))
+    cdf = np.multiply(x, _INV_SQRT2, out=np.empty(x.shape))
     _erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
 
     def backward(out):
         # g * (cdf + x * pdf), pdf = exp(-x^2 / 2) / sqrt(2 pi), in one buffer
-        dx = np.square(x, out=empty(x.shape))
+        dx = np.square(x, out=np.empty(x.shape))
         dx *= -0.5
         np.exp(dx, out=dx)
         dx *= _INV_SQRT2PI
@@ -782,7 +676,7 @@ def gelu(a: Tensor) -> Tensor:
         dx *= out.grad
         a.accumulate(dx, fresh=True)
 
-    return _make(np.multiply(x, cdf, out=empty(x.shape)), (a,), "gelu", backward)
+    return _make(np.multiply(x, cdf, out=np.empty(x.shape)), (a,), "gelu", backward)
 
 
 def cross_entropy_logits(logits: Tensor, target) -> Tensor:
@@ -806,17 +700,17 @@ def cross_entropy_logits(logits: Tensor, target) -> Tensor:
         raise ValueError(f"target {target} out of range for {n_classes} classes")
     z = logits.data
     rows = np.arange(n_rows)
-    zmax = z.max(axis=1, keepdims=True, out=_row_stat(z))
-    shifted = np.subtract(z, zmax, out=empty(z.shape))
+    zmax = z.max(axis=1, keepdims=True)
+    shifted = np.subtract(z, zmax, out=np.empty(z.shape))
     np.exp(shifted, out=shifted)
     # lse = zmax + log(sum(exp(z - zmax))), in the sum's buffer
-    lse = shifted.sum(axis=1, keepdims=True, out=_row_stat(z))
+    lse = shifted.sum(axis=1, keepdims=True)
     np.log(lse, out=lse)
     np.add(zmax, lse, out=lse)
     loss = (lse[:, 0] - z[rows, targets]).sum()
 
     def backward(out):
-        p = np.subtract(z, lse, out=empty(z.shape))
+        p = np.subtract(z, lse, out=np.empty(z.shape))
         np.exp(p, out=p)
         p[rows, targets] -= 1.0
         p *= out.grad.reshape(())

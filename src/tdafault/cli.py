@@ -309,24 +309,40 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _report_from_dict(payload: dict) -> EvalReport:
-    matrix = ConfusionMatrix(
-        counts=np.asarray(payload["confusion_matrix"], dtype=np.int64),
-        labels=tuple(payload["labels"]),
-    )
-    return EvalReport.from_matrix(matrix)
+# The keys `report` reads, each with a value of its JSON type (an int may stand for a float)
+_REPORT_KEYS = {"labels": [], "confusion_matrix": [], "split": "", "mean_loss": 0.0}
+_HISTORY_KEYS = {"epochs_run": 0, "best_epoch": 0, "best_val_loss": 0.0, "stopped_early": False}
+
+
+def _load_typed(path, what: str, keys: dict, optional: tuple) -> dict:
+    """A JSON object holding every key of ``keys`` but the ``optional`` ones, each of its type.
+
+    Anything else is a ``ValueError`` that names ``what``, the file and the key.
+    """
+    obj = _load_json_object(path, what)
+    missing = [key for key in keys if key not in obj and key not in optional]
+    if missing:
+        raise ValueError(f"{what} {path} has no {missing}")
+    check_value_types({key: obj[key] for key in keys if key in obj}, keys, f"{what} {path}")
+    return obj
 
 
 def _cmd_report(args) -> int:
-    payload = _load_json_object(args.input, "report")
-    report = _report_from_dict(payload)
-    lines = [report.to_text()]
+    payload = _load_typed(args.input, "report", _REPORT_KEYS, ("split", "mean_loss"))
+    labels = payload["labels"]
+    if not all(type(label) is str for label in labels):
+        raise ValueError(f"report {args.input} 'labels' must hold strings, got {labels!r}")
+    try:
+        matrix = ConfusionMatrix(counts=payload["confusion_matrix"], labels=tuple(labels))
+    except ValueError as exc:
+        raise ValueError(f"report {args.input} 'confusion_matrix': {exc}") from None
+    lines = [EvalReport.from_matrix(matrix).to_text()]
     if "split" in payload:
         lines.append(f"split: {payload['split']}")
     if "mean_loss" in payload:
         lines.append(f"mean loss: {payload['mean_loss']:.6f}")
     if args.history:
-        history = _load_json_object(args.history, "history")
+        history = _load_typed(args.history, "history", _HISTORY_KEYS, ("stopped_early",))
         lines.append(
             f"training: {history['epochs_run']} epochs, "
             f"best epoch {history['best_epoch']} "

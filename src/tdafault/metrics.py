@@ -106,17 +106,27 @@ def _class_report(label: str, tp: int, fp: int, fn: int, tn: int) -> ClassReport
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """Confusion counts plus the class labels they are indexed by."""
+    """Confusion counts plus the class labels they are indexed by.
+
+    The counts must be ones that some evaluation can produce: integers,
+    none negative, with at least one sample in all.
+    """
 
     counts: np.ndarray
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.asarray(self.counts)
         n = len(self.labels)
         if counts.shape != (n, n):
             raise ValueError(f"counts shape {counts.shape} does not match {n} labels")
-        object.__setattr__(self, "counts", counts)
+        if not np.issubdtype(counts.dtype, np.integer):
+            raise ValueError(f"confusion counts must be integers, got {counts.dtype}")
+        if (counts < 0).any():
+            raise ValueError("confusion counts must not be negative")
+        if not counts.any():
+            raise ValueError("confusion counts are all zero: no sample was evaluated")
+        object.__setattr__(self, "counts", counts.astype(np.int64, copy=False))
 
     @classmethod
     def from_predictions(cls, y_true, y_pred, labels) -> "ConfusionMatrix":

@@ -1,6 +1,5 @@
 """Reverse-mode engine: every primitive against central differences."""
 
-import contextlib
 import json
 import math
 import warnings
@@ -107,6 +106,11 @@ class TestGraphMechanics:
         assert hidden.grad is None
         assert x.grad is not None
         np.testing.assert_array_equal(loss.grad, [[1.0]])
+
+    def test_dropped_op_output_is_freed(self):
+        a = Tensor(np.random.default_rng(96).normal(size=(2, 3, 4)))
+        out = weakref.ref(ad.scale(a, 2.0).data)
+        assert out() is None  # nothing kept the dropped output
 
     def test_deterministic_forward_backward(self):
         def run():
@@ -527,121 +531,16 @@ class TestGradientOwnership:
         x.accumulate(np.full((2, 2), 2.0))
         np.testing.assert_array_equal(x.grad, 3.0)
 
-
-class TestBufferPool:
-    def test_referenced_array_is_never_handed_out(self):
-        pool = ad.BufferPool()
-        first = pool.empty((3, 4))
-        second = pool.empty((3, 4))
-        assert second is not first  # `first` is still referenced
-        view, first_ref = first[1:], weakref.ref(first)
-        del first
-        third = pool.empty((3, 4))  # the view keeps its base in use
-        assert not np.shares_memory(third, view) and not np.shares_memory(third, second)
-        assert pool.empty((4, 3)).shape == (4, 3) and pool.empty((3, 4), np.bool_).dtype == bool
-        del view
-        assert pool.empty((3, 4)) is first_ref()  # idle again: reused
-
-    def test_ops_reuse_only_released_outputs(self):
-        a = Tensor(np.random.default_rng(95).normal(size=(2, 3, 4)))
-        with ad.buffer_pool():
-            kept = ad.scale(a, 2.0)
-            other = ad.scale(a, 3.0)
-            assert not np.shares_memory(kept.data, other.data)
-            released = weakref.ref(other.data)
-            del other
-            again = ad.scale(a, 4.0)
-            assert again.data is released()
-            np.testing.assert_array_equal(kept.data, 2.0 * a.data)
-            np.testing.assert_array_equal(again.data, 4.0 * a.data)
-
-    def test_outside_a_pool_arrays_are_fresh(self):
-        a = Tensor(np.random.default_rng(96).normal(size=(2, 3, 4)))
-        for scope in ("before", "inside", "after"):
-            if scope == "inside":
-                with ad.buffer_pool():
-                    out = weakref.ref(ad.scale(a, 2.0).data)
-                    assert out() is not None  # the pool keeps its arrays
-                continue
-            out = weakref.ref(ad.scale(a, 2.0).data)
-            assert out() is None  # nothing kept the dropped output
-
-    def test_pooled_gradient_gets_data_layout(self):
-        with ad.buffer_pool():
-            v = Tensor(np.zeros((4, 3)).T, requires_grad=True)
-            v.accumulate(np.ones((3, 4)))
-            assert v.grad.strides == np.empty_like(v.data).strides
-            x = Tensor(np.zeros((3, 4)), requires_grad=True)
-            x.accumulate(np.ones((4, 3)).T)
-            assert x.grad.flags.c_contiguous
-
-    def test_pooled_training_step_matches_unpooled(self):
-        # the same graph with and without a pool, over several steps
-        rng = np.random.default_rng(97)
-        x = rng.normal(size=(3, 5, 8))
-        results = []
-        for pooled in (False, True):
-            w = Tensor(np.random.default_rng(98).normal(size=(8, 8)), requires_grad=True)
-            steps = []
-            with ad.buffer_pool() if pooled else contextlib.nullcontext():
-                for _ in range(3):
-                    zero_grad([w])
-                    h = ad.gelu(ad.layer_norm(ad.matmul(Tensor(x), w)))
-                    heads = ad.merge_heads(ad.softmax_rows(ad.split_heads(h, 2)), 2)
-                    loss = scalarize(heads)
-                    loss.backward()
-                    w.data -= 0.1 * w.grad
-                    steps.append((loss.item(), w.data.copy()))
-            results.append(steps)
-        for (loss_a, w_a), (loss_b, w_b) in zip(*results):
-            assert loss_a == loss_b
-            np.testing.assert_array_equal(w_a, w_b)
-
-
-    def test_shorter_request_borrows_leading_rows(self):
-        pool = ad.BufferPool()
-        full = pool.empty((32, 4, 5))
-        full_ref = weakref.ref(full)
-        del full
-        tail = pool.empty((4, 4, 5))  # a leading-rows view of the idle full array
-        assert tail.shape == (4, 4, 5) and tail.flags.c_contiguous
-        assert tail.base is full_ref()
-        other = pool.empty((32, 4, 5))  # the view keeps its base in use
-        assert other is not full_ref() and not np.shares_memory(other, tail)
-        assert not np.shares_memory(pool.empty((4, 5, 4)), tail)  # another trailing shape
-        del tail
-        assert pool.empty((32, 4, 5)) is full_ref()  # the exact length is handed out whole
-
-    def test_shortest_longer_array_is_borrowed(self):
-        pool = ad.BufferPool()
-        arrays = [pool.empty((n, 3)) for n in (32, 8, 16)]
-        refs = [weakref.ref(a) for a in arrays]
-        del arrays
-        lent = pool.empty((5, 3))
-        assert lent.base is refs[1]()
-        assert pool.empty((8, 3)).base is refs[2]()  # 8 rows are lent out: 16 is next
-        assert pool.empty((1,)).shape == (1,) and pool.empty(()).shape == ()
-
-    def test_pooled_mixed_batch_sizes_match_unpooled(self):
-        # Full and short batches in turn: the short ones run in views of full arrays.
-        rng = np.random.default_rng(99)
-        batches = [rng.normal(size=(n, 5, 8)) for n in (4, 1, 4, 3, 4)]
-        results = []
-        for pooled in (False, True):
-            w = Tensor(np.random.default_rng(98).normal(size=(8, 8)), requires_grad=True)
-            steps = []
-            with ad.buffer_pool() if pooled else contextlib.nullcontext():
-                for x in batches:
-                    zero_grad([w])
-                    h = ad.gelu(ad.layer_norm(ad.matmul(Tensor(x), w)))
-                    loss = scalarize(ad.softmax_rows(h, 0.25))
-                    loss.backward()
-                    w.data -= 0.1 * w.grad
-                    steps.append((loss.item(), w.data.copy()))
-            results.append(steps)
-        for (loss_a, w_a), (loss_b, w_b) in zip(*results):
-            assert loss_a == loss_b
-            np.testing.assert_array_equal(w_a, w_b)
+    def test_gradient_buffer_gets_data_layout(self):
+        # a first contribution that cannot be adopted is copied into a
+        # buffer laid out like data, also for a 3-D last-two-axes swap
+        v = Tensor(np.zeros((2, 4, 3)).swapaxes(1, 2), requires_grad=True)
+        v.accumulate(np.ones((2, 3, 4)))
+        assert v.grad.strides == np.empty_like(v.data).strides
+        assert not v.grad.flags.c_contiguous
+        x = Tensor(np.zeros((2, 3, 4)), requires_grad=True)
+        x.accumulate(np.ones((2, 4, 3)).swapaxes(1, 2), fresh=True)
+        assert x.grad.flags.c_contiguous
 
 
 def _ulps(got: np.ndarray, want: np.ndarray) -> np.ndarray:
@@ -700,14 +599,12 @@ class TestErf:
         x = np.random.default_rng(111).normal(0.0, 2.0, size=20_000)
         assert self.erf(-x).tobytes() == (-self.erf(x)).tobytes()
 
-    def test_in_place_and_pooled_calls_agree(self):
+    def test_in_place_call_agrees(self):
         x = np.random.default_rng(112).normal(0.0, 1.5, size=(4, 16, 64))
         want = self.erf(x)
-        with ad.buffer_pool():
-            for _ in range(2):
-                inplace = x.copy()
-                assert ad._erf(inplace, inplace) is inplace
-                assert inplace.tobytes() == want.tobytes()
+        inplace = x.copy()
+        assert ad._erf(inplace, inplace) is inplace
+        assert inplace.tobytes() == want.tobytes()
 
 
 class TestFusedSoftmaxScale:

@@ -272,6 +272,30 @@ class TestExitCodes:
         assert err.startswith("tdafault: ") and err.count("\n") == 1, err
         assert "must hold a JSON object" in err and target.split("/")[-1] in err
 
+    @pytest.mark.parametrize("target, fields, message", [
+        ("report.json", {"labels": 5}, "'labels' must be list"),
+        ("report.json", {"labels": [1, 2]}, "'labels' must hold strings"),
+        ("report.json", {"mean_loss": [1]}, "'mean_loss' must be float"),
+        ("report.json", {"split": None}, "'split' must be str"),
+        ("history.json", {"best_val_loss": [0.5]}, "'best_val_loss' must be float"),
+        ("report.json", {"labels": ["a", "b"], "confusion_matrix": [[-1, 0], [0, 1]]},
+         "must not be negative"),
+    ], ids=["int-labels", "int-label-entries", "list-mean-loss", "null-split",
+            "list-best-val-loss", "negative-counts"])
+    def test_malformed_report_field_is_data_error(self, chain, tmp_path, capsys,
+                                                  target, fields, message):
+        paths = {"report.json": chain["report"] / "report.json",
+                 "history.json": chain["model"] / "history.json"}
+        payload = dict(json.loads(paths[target].read_text()), **fields)
+        paths[target] = tmp_path / target
+        paths[target].write_text(json.dumps(payload))
+        code = main(["report", "--input", str(paths["report.json"]),
+                     "--history", str(paths["history.json"])])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("tdafault: ") and err.count("\n") == 1, err
+        assert message in err and str(paths[target]) in err
+
     @pytest.mark.parametrize("period", ["0", "1"])
     def test_decompose_period_below_two_is_data_error(self, chain, tmp_path, capsys, period):
         code = main(["decompose", "--store", str(chain["store"]),

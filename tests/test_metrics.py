@@ -69,6 +69,17 @@ class TestConfusionMatrix:
         with pytest.raises(ValueError):
             ConfusionMatrix(counts=np.zeros((2, 3)), labels=("a", "b"))
 
+    @pytest.mark.parametrize("counts, message", [
+        ([[-1, 0], [0, 1]], "negative"),
+        ([[0, 0], [0, 0]], "all zero"),
+        ([[1.5, 0], [0, 1]], "integers"),
+        ([[1.0, 0], [0, 1]], "integers"),
+        ([[True, False], [False, True]], "integers"),
+    ], ids=["negative", "zero-total", "fraction", "float", "bool"])
+    def test_rejects_counts_no_evaluation_produces(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            ConfusionMatrix(counts=counts, labels=("a", "b"))
+
     @given(st.integers(0, 100_000))
     @settings(max_examples=50)
     def test_matches_brute_force(self, seed):
@@ -118,7 +129,6 @@ class TestPerClassRates:
 
     def test_f1_harmonic_mean_value(self):
         # precision 0.85 (85/100), recall 0.88 (88/100)
-        r = matrix_from(tp=0, fp=0, fn=0, tn=0)
         counts = np.zeros((3, 3), dtype=np.int64)
         counts[0, 0] = 85 * 88  # construct exact p=0.85, r=0.88 via scaling
         counts[1, 0] = 15 * 88
