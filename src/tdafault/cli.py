@@ -10,6 +10,10 @@ Verbs mirror the processing stages:
 * ``eval``       score a checkpoint on a split, write report files
 * ``report``     render a previously written report (plus training history)
 
+``synth``, ``featurize`` and ``train`` take ``--config``: one path
+(``_settings``) reads its stage sections, rejects an unknown section, key or
+value type, and lets the flags given win.  Only ``synth`` and ``train`` take ``--seed``.
+
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
 failure.  All outputs are plain .npy/.json/.csv files whose bytes depend
 only on the inputs and seeds; manifests carry ``"created": null`` unless
@@ -48,7 +52,7 @@ from .decompose import decompose_additive, estimate_period
 from .features import WindowSpec
 from .matio import MatFormatError
 from .metrics import ConfusionMatrix, EvalReport
-from .model import ModelConfig, TdaEncoder, check_value_types
+from .model import ATTENTION_MODES, ModelConfig, TdaEncoder, check_value_types
 from .movavg import MaConfig
 from .train import TrainConfig, evaluate
 from .train import train as fit
@@ -75,39 +79,43 @@ def _stamp(args) -> str | None:
     return None
 
 
-def _load_config(args) -> dict:
-    """The ``--config`` file's sections, or ``{}`` without one."""
-    return _load_json_object(args.config, "config file") if args.config else {}
-
-
-def _config_section(config: dict, name: str) -> dict:
-    section = config.get(name, {})
-    if not isinstance(section, dict):
-        raise ValueError(f"config section {name!r} must be a JSON object")
-    return dict(section)
-
-
 def _defaults(cls, *set_by_verb: str) -> dict:
-    """``cls``'s settings and defaults, less those the verb itself sets.
-
-    A config key that names a setting left out here is reported as unknown.
-    """
+    """``cls``'s settings and defaults, less those the verb itself sets."""
     return {f.name: f.default for f in fields(cls) if f.name not in set_by_verb}
 
 
-def _merged(section: dict, defaults: dict, **flag_overrides) -> dict:
-    """Config-file values overridden by the flags that were given.
+# Each ``--config`` section's settings and their defaults; a flag stores its value under
+# the setting's name.  ``seed`` (from ``--seed``) and ``n_classes`` (from the features'
+# labels) are not settings, so a config key naming them is unknown.
+_SECTIONS = {
+    "synth": _defaults(SynthConfig, "seed"),
+    "features": {"window_len": WindowSpec.length, "stride": WindowSpec.stride,
+                 "ma_window": MaConfig.window, **_defaults(SplitConfig)},
+    "model": _defaults(ModelConfig, "n_classes", "seed"),
+    "train": _defaults(TrainConfig, "seed"),
+}
 
-    Every key must name a setting in ``defaults``, and every value must have
-    its default's type, except that an int is accepted for a float.  A bool
-    is never accepted for a number.
+
+def _settings(args, *names: str) -> list[dict]:
+    """The settings given for each named section: the ``--config`` file's, then the flags'.
+
+    The file is read once.  A section not in ``_SECTIONS``, a key its section
+    lacks, or a value whose type is not the default's is a ``ValueError`` (an
+    int may stand for a float; a bool is never a number).  Explicit flags win.
     """
-    unknown = sorted(set(section) - set(defaults))
+    config = _load_json_object(args.config, "config file") if args.config else {}
+    unknown = sorted(set(config) - set(_SECTIONS))
     if unknown:
-        raise ValueError(f"unknown config keys: {unknown}")
-    out = dict(section)
-    out.update({k: v for k, v in flag_overrides.items() if v is not None})
-    check_value_types(out, defaults, "config key")
+        raise ValueError(f"unknown config sections: {unknown}")
+    out = []
+    for name in names:
+        section = config.get(name, {})
+        if not isinstance(section, dict):
+            raise ValueError(f"config section {name!r} must be a JSON object")
+        check_value_types(section, _SECTIONS[name], "config")
+        flags = {key: getattr(args, key) for key in _SECTIONS[name]
+                 if getattr(args, key, None) is not None}
+        out.append({**section, **flags})
     return out
 
 
@@ -115,16 +123,8 @@ def _merged(section: dict, defaults: dict, **flag_overrides) -> dict:
 
 
 def _cmd_synth(args) -> int:
-    kwargs = _merged(
-        _config_section(_load_config(args), "synth"),
-        _defaults(SynthConfig, "seed"),
-        sample_rate_hz=args.fs,
-        duration_s=args.duration,
-        recordings_per_class=args.recordings,
-        noise_sigma=args.noise_sigma,
-    )
-    kwargs["seed"] = args.seed
-    cfg = SynthConfig(**kwargs)
+    [settings] = _settings(args, "synth")
+    cfg = SynthConfig(**settings, seed=args.seed)
     recordings = gen_synthetic(cfg)
     save_recordings(
         args.out, recordings, meta={"synth_config": asdict(cfg)}, created=_stamp(args)
@@ -196,31 +196,14 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_featurize(args) -> int:
-    kwargs = _merged(
-        _config_section(_load_config(args), "features"),
-        {"window_len": WindowSpec.length, "stride": WindowSpec.stride,
-         "ma_window": MaConfig.window, **_defaults(SplitConfig)},
-        window_len=args.window_len,
-        stride=args.stride,
-        ma_window=args.ma_window,
-        segment_len=args.segment_len,
-        train_fraction=args.train_frac,
-        val_fraction=args.val_frac,
-    )
-    window = WindowSpec(
-        length=kwargs.pop("window_len", WindowSpec.length),
-        stride=kwargs.pop("stride", WindowSpec.stride),
-    )
-    ma = MaConfig(window=kwargs.pop("ma_window", MaConfig.window))
+    [given] = _settings(args, "features")
+    kwargs = dict(_SECTIONS["features"], **given)
+    window = WindowSpec(length=kwargs.pop("window_len"), stride=kwargs.pop("stride"))
+    ma = MaConfig(window=kwargs.pop("ma_window"))
     split = SplitConfig(**kwargs)
     recordings = load_recordings(args.store)
-    dataset = build_dataset(
-        recordings,
-        window=window,
-        ma=ma,
-        split=split,
-        period_hint_hz=args.period_hint_hz,
-    )
+    dataset = build_dataset(recordings, window=window, ma=ma, split=split,
+                            period_hint_hz=args.period_hint_hz)
     dataset.manifest["created"] = _stamp(args)
     save_features(args.out, dataset)
     print(
@@ -233,33 +216,11 @@ def _cmd_featurize(args) -> int:
 
 def _cmd_train(args) -> int:
     dataset = load_features(args.features)
-    config = _load_config(args)
-
-    model_kwargs = _merged(
-        _config_section(config, "model"),
-        _defaults(ModelConfig, "n_classes", "seed"),
-        d_model=args.d_model,
-        heads=args.heads,
-        layers=args.layers,
-        dropout_rate=args.dropout,
-        attention=args.attention,
-    )
+    model_kwargs, train_kwargs = _settings(args, "model", "train")
     segment_len = dataset.manifest["split"]["segment_len"]
     model_kwargs.setdefault("t_max", max(ModelConfig.t_max, segment_len))
-    model_kwargs["n_classes"] = len(dataset.labels)
-    model_kwargs["seed"] = args.seed
-    model_cfg = ModelConfig(**model_kwargs)
-
-    train_kwargs = _merged(
-        _config_section(config, "train"),
-        _defaults(TrainConfig, "seed"),
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        max_epochs=args.epochs,
-        patience=args.patience,
-    )
-    train_kwargs["seed"] = args.seed
-    train_cfg = TrainConfig(**train_kwargs)
+    model_cfg = ModelConfig(**model_kwargs, n_classes=len(dataset.labels), seed=args.seed)
+    train_cfg = TrainConfig(**train_kwargs, seed=args.seed)
 
     model = TdaEncoder(model_cfg)
     result = fit(model, dataset.train, dataset.val, train_cfg)
@@ -267,7 +228,7 @@ def _cmd_train(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _dump_json(outdir / "checkpoint.json", dict(model.to_dict(), labels=list(dataset.labels)))
-    _dump_json(outdir / "history.json", result.to_dict())
+    _dump_json(outdir / "history.json", asdict(result))
     _dump_json(
         outdir / "train_manifest.json",
         {
@@ -275,7 +236,7 @@ def _cmd_train(args) -> int:
             "labels": list(dataset.labels),
             "model_config": asdict(model_cfg),
             "train_config": asdict(train_cfg),
-            "result": result.to_dict(),
+            "result": asdict(result),
         },
     )
     print(
@@ -312,28 +273,42 @@ def _cmd_eval(args) -> int:
 # The keys `report` reads, each with a value of its JSON type (an int may stand for a float)
 _REPORT_KEYS = {"labels": [], "confusion_matrix": [], "split": "", "mean_loss": 0.0}
 _HISTORY_KEYS = {"epochs_run": 0, "best_epoch": 0, "best_val_loss": 0.0, "stopped_early": False}
+# What every `eval` and `train` run writes, as (key, rule, test of the object), checked in order
+_REPORT_RULES = [
+    ("labels", "hold strings", lambda r: all(type(label) is str for label in r["labels"])),
+    ("labels", "hold distinct names", lambda r: len(set(r["labels"])) == len(r["labels"])),
+    ("mean_loss", "be >= 0", lambda r: r["mean_loss"] >= 0),
+]
+_HISTORY_RULES = [
+    ("epochs_run", "be >= 1", lambda h: h["epochs_run"] >= 1),
+    ("best_epoch", "lie in [0, epochs_run)", lambda h: 0 <= h["best_epoch"] < h["epochs_run"]),
+    ("best_val_loss", "be >= 0", lambda h: h["best_val_loss"] >= 0),
+]
 
 
-def _load_typed(path, what: str, keys: dict, optional: tuple) -> dict:
+def _load_typed(path, what: str, keys: dict, optional: tuple, rules: list) -> dict:
     """A JSON object holding every key of ``keys`` but the ``optional`` ones, each of its type.
 
-    Anything else is a ``ValueError`` that names ``what``, the file and the key.
+    Each present key must also pass its ``rules``.  Anything else is a
+    ``ValueError`` that names ``what``, the file and the key.
     """
     obj = _load_json_object(path, what)
     missing = [key for key in keys if key not in obj and key not in optional]
     if missing:
         raise ValueError(f"{what} {path} has no {missing}")
     check_value_types({key: obj[key] for key in keys if key in obj}, keys, f"{what} {path}")
+    for key, rule, holds in rules:
+        if key in obj and not holds(obj):
+            raise ValueError(f"{what} {path} {key!r} must {rule}, got {obj[key]!r}")
     return obj
 
 
 def _cmd_report(args) -> int:
-    payload = _load_typed(args.input, "report", _REPORT_KEYS, ("split", "mean_loss"))
-    labels = payload["labels"]
-    if not all(type(label) is str for label in labels):
-        raise ValueError(f"report {args.input} 'labels' must hold strings, got {labels!r}")
+    payload = _load_typed(args.input, "report", _REPORT_KEYS, ("split", "mean_loss"),
+                          _REPORT_RULES)
     try:
-        matrix = ConfusionMatrix(counts=payload["confusion_matrix"], labels=tuple(labels))
+        matrix = ConfusionMatrix(counts=payload["confusion_matrix"],
+                                 labels=tuple(payload["labels"]))
     except ValueError as exc:
         raise ValueError(f"report {args.input} 'confusion_matrix': {exc}") from None
     lines = [EvalReport.from_matrix(matrix).to_text()]
@@ -342,7 +317,8 @@ def _cmd_report(args) -> int:
     if "mean_loss" in payload:
         lines.append(f"mean loss: {payload['mean_loss']:.6f}")
     if args.history:
-        history = _load_typed(args.history, "history", _HISTORY_KEYS, ("stopped_early",))
+        history = _load_typed(args.history, "history", _HISTORY_KEYS, ("stopped_early",),
+                              _HISTORY_RULES)
         lines.append(
             f"training: {history['epochs_run']} epochs, "
             f"best epoch {history['best_epoch']} "
@@ -363,9 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tdafault", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
 
-    def common(p, out_help: str):
-        p.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
-        p.add_argument("--config", help="JSON config file with per-stage sections")
+    def common(p, out_help: str, seed=False, config=False):
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
+        if config:
+            p.add_argument("--config", help="JSON config file with per-stage sections")
         p.add_argument("--out", required=True, help=out_help)
         p.add_argument(
             "--stamp",
@@ -373,12 +351,17 @@ def build_parser() -> argparse.ArgumentParser:
             help="record the current UTC time in manifests (off by default)",
         )
 
+    def setting(p, section: str, flag: str, key: str, what: str, **kw):
+        """A flag that sets ``key`` of the config ``section``, typed like its default."""
+        default = _SECTIONS[section][key]
+        p.add_argument(flag, type=type(default), dest=key, help=f"{what} (default {default})", **kw)
+
     p = sub.add_parser("synth", help="generate a synthetic recording store")
-    common(p, "output store directory")
-    p.add_argument("--fs", type=float, help="sample rate in Hz (default 4096)")
-    p.add_argument("--duration", type=float, help="seconds per recording (default 8)")
-    p.add_argument("--recordings", type=int, help="recordings per class (default 4)")
-    p.add_argument("--noise-sigma", type=float, help="Gaussian noise level (default 0.1)")
+    common(p, "output store directory", seed=True, config=True)
+    setting(p, "synth", "--fs", "sample_rate_hz", "sample rate in Hz")
+    setting(p, "synth", "--duration", "duration_s", "seconds per recording")
+    setting(p, "synth", "--recordings", "recordings_per_class", "recordings per class")
+    setting(p, "synth", "--noise-sigma", "noise_sigma", "Gaussian noise level")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("ingest", help="load CSV/MAT recordings into a store")
@@ -405,33 +388,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("featurize", help="build standardized, split token segments")
-    common(p, "output features directory")
+    common(p, "output features directory", config=True)
     p.add_argument("--store", required=True, help="input recording store")
-    p.add_argument("--window-len", type=int, help="window length in samples (default 256)")
-    p.add_argument("--stride", type=int, help="window stride in samples (default 128)")
-    p.add_argument("--ma-window", type=int, help="residual smoother window (default 16)")
-    p.add_argument("--segment-len", type=int, help="tokens per training segment (default 16)")
-    p.add_argument("--train-frac", type=float, help="training fraction (default 0.7)")
-    p.add_argument("--val-frac", type=float, help="validation fraction (default 0.15)")
+    setting(p, "features", "--window-len", "window_len", "window length in samples")
+    setting(p, "features", "--stride", "stride", "window stride in samples")
+    setting(p, "features", "--ma-window", "ma_window", "residual smoother window")
+    setting(p, "features", "--segment-len", "segment_len", "tokens per training segment")
+    setting(p, "features", "--train-frac", "train_fraction", "training fraction")
+    setting(p, "features", "--val-frac", "val_fraction", "validation fraction")
     p.add_argument("--period-hint-hz", type=float, help="known cycle frequency in Hz")
     p.set_defaults(func=_cmd_featurize)
 
     p = sub.add_parser("train", help="fit the encoder classifier")
-    common(p, "output model directory")
+    common(p, "output model directory", seed=True, config=True)
     p.add_argument("--features", required=True, help="features directory")
-    p.add_argument(
-        "--attention",
-        choices=("tda", "standard"),
-        help="attention variant (default tda)",
-    )
-    p.add_argument("--d-model", type=int, help="model width (default 32)")
-    p.add_argument("--heads", type=int, help="attention heads (default 2)")
-    p.add_argument("--layers", type=int, help="encoder layers (default 2)")
-    p.add_argument("--dropout", type=float, help="dropout rate (default 0.1)")
-    p.add_argument("--lr", type=float, help="learning rate (default 1e-3)")
-    p.add_argument("--batch-size", type=int, help="batch size (default 32)")
-    p.add_argument("--epochs", type=int, help="epoch cap (default 100)")
-    p.add_argument("--patience", type=int, help="early-stop patience (default 10)")
+    setting(p, "model", "--attention", "attention", "attention variant", choices=ATTENTION_MODES)
+    setting(p, "model", "--d-model", "d_model", "model width")
+    setting(p, "model", "--heads", "heads", "attention heads")
+    setting(p, "model", "--layers", "layers", "encoder layers")
+    setting(p, "model", "--dropout", "dropout_rate", "dropout rate")
+    setting(p, "train", "--lr", "learning_rate", "learning rate")
+    setting(p, "train", "--batch-size", "batch_size", "batch size")
+    setting(p, "train", "--epochs", "max_epochs", "epoch cap")
+    setting(p, "train", "--patience", "patience", "early-stop patience")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint on one split")

@@ -70,15 +70,18 @@ class ModelConfig:
 
 
 def check_value_types(values: dict, defaults: dict, what: str) -> None:
-    """Reject a value whose type is not its default's.
+    """Reject a key that ``defaults`` lacks, or a value whose type is not its default's.
 
     An int may stand for a float; a bool is never a number.  ``what`` names
-    the keys in the error.
+    the keys in the errors: "unknown {what} keys", "{what} key 'k' must be ...".
     """
+    unknown = sorted(set(values) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {unknown}")
     for key, value in values.items():
         want = type(defaults[key])
         if type(value) is not want and not (want is float and type(value) is int):
-            raise ValueError(f"{what} {key!r} must be {want.__name__}, got {value!r}")
+            raise ValueError(f"{what} key {key!r} must be {want.__name__}, got {value!r}")
 
 
 def sinusoidal_positions(t_max: int, d_model: int) -> np.ndarray:
@@ -278,10 +281,7 @@ class TdaEncoder:
         if not isinstance(config, dict) or not isinstance(stored, dict):
             raise ValueError("checkpoint config and params must be JSON objects")
         defaults = {name: f.default for name, f in ModelConfig.__dataclass_fields__.items()}
-        unknown = sorted(set(config) - set(defaults))
-        if unknown:
-            raise ValueError(f"unknown checkpoint config keys: {unknown}")
-        check_value_types(config, defaults, "config key")
+        check_value_types(config, defaults, "checkpoint config")
         model = cls(ModelConfig(**config))
         params = model.parameters()
         if version == 1:  # join each layer's per-head tensors into whole matrices

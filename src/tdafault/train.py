@@ -105,15 +105,6 @@ class TrainResult:
     epochs_run: int = 0
     stopped_early: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "history": self.history,
-            "best_epoch": self.best_epoch,
-            "best_val_loss": self.best_val_loss,
-            "epochs_run": self.epochs_run,
-            "stopped_early": self.stopped_early,
-        }
-
 
 def _backward_batch(model: TdaEncoder, tokens: np.ndarray, labels: np.ndarray) -> float:
     """Back-propagate one minibatch as a single graph; returns its summed loss.

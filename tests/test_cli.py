@@ -280,8 +280,14 @@ class TestExitCodes:
         ("history.json", {"best_val_loss": [0.5]}, "'best_val_loss' must be float"),
         ("report.json", {"labels": ["a", "b"], "confusion_matrix": [[-1, 0], [0, 1]]},
          "must not be negative"),
+        ("report.json", {"labels": ["a"] * 10}, "'labels' must hold distinct names"),
+        ("report.json", {"mean_loss": -1.0}, "'mean_loss' must be >= 0"),
+        ("history.json", {"epochs_run": -3}, "'epochs_run' must be >= 1"),
+        ("history.json", {"best_epoch": 99}, "'best_epoch' must lie in [0, epochs_run)"),
+        ("history.json", {"best_val_loss": -0.5}, "'best_val_loss' must be >= 0"),
     ], ids=["int-labels", "int-label-entries", "list-mean-loss", "null-split",
-            "list-best-val-loss", "negative-counts"])
+            "list-best-val-loss", "negative-counts", "repeated-labels", "negative-mean-loss",
+            "no-epochs-run", "best-epoch-past-the-run", "negative-best-val-loss"])
     def test_malformed_report_field_is_data_error(self, chain, tmp_path, capsys,
                                                   target, fields, message):
         paths = {"report.json": chain["report"] / "report.json",
@@ -447,13 +453,16 @@ class TestExitCodes:
 
 class TestConfigFile:
     def test_config_sections_apply(self, tmp_path):
+        # one file holds every stage's section; each verb reads its own
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "synth": {"sample_rate_hz": 1024.0, "duration_s": 2.0,
                       "recordings_per_class": 1, "noise_sigma": 0.05},
             "features": {"segment_len": 4},
+            "model": {"d_model": 8, "d_k": 4, "d_v": 4},
+            "train": {"max_epochs": 1},
         }))
-        store, feats = tmp_path / "store", tmp_path / "feats"
+        store, feats, model = tmp_path / "store", tmp_path / "feats", tmp_path / "model"
         assert main(["synth", "--config", str(cfg), "--out", str(store)]) == EXIT_OK
         manifest = json.loads((store / "manifest.json").read_text())
         assert all(e["n_samples"] == 2048 for e in manifest["recordings"])
@@ -461,6 +470,50 @@ class TestConfigFile:
                      "--out", str(feats)]) == EXIT_OK
         fmanifest = json.loads((feats / "manifest.json").read_text())
         assert fmanifest["split"]["segment_len"] == 4
+        assert main(["train", "--config", str(cfg), "--features", str(feats),
+                     "--out", str(model)]) == EXIT_OK
+        tmanifest = json.loads((model / "train_manifest.json").read_text())
+        assert tmanifest["model_config"]["d_model"] == 8
+        assert tmanifest["train_config"]["max_epochs"] == 1
+
+    @pytest.mark.parametrize("verb, config", [
+        ("synth", {"synht": {"duration_s": 2.0}}),
+        ("train", {"modle": {"d_model": 8}}),
+    ], ids=["synth", "train"])
+    def test_unknown_config_section_is_data_error(self, chain, tmp_path, capsys, verb, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        source = {"synth": [], "train": ["--features", str(chain["feats"])]}[verb]
+        out = tmp_path / "o"
+        code = main([verb, "--config", str(cfg), *source, "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("tdafault: ") and err.count("\n") == 1, err
+        (section,) = config
+        assert "unknown config sections" in err and repr(section) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb, flag", [
+        ("featurize", "--seed"), ("eval", "--seed"), ("ingest", "--seed"),
+        ("decompose", "--config"), ("eval", "--config"),
+    ])
+    def test_flag_the_verb_does_not_read_is_usage_error(self, chain, tmp_path, capsys,
+                                                        verb, flag):
+        # only synth and train use a seed; only synth, featurize and train read a config
+        out = tmp_path / "o"
+        source = {
+            "featurize": ["--store", str(chain["store"])],
+            "decompose": ["--store", str(chain["store"])],
+            "ingest": ["--fs", "1024", f"--input=a={tmp_path / 'a.csv'}"],
+            "eval": ["--features", str(chain["feats"]),
+                     "--checkpoint", str(chain["model"] / "checkpoint.json")],
+        }[verb]
+        value = {"--seed": "1", "--config": str(tmp_path / "cfg.json")}[flag]
+        with pytest.raises(SystemExit) as exc:
+            main([verb, *source, "--out", str(out), flag, value])
+        assert exc.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
