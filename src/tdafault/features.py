@@ -6,6 +6,11 @@ trend-channel features (mean, least-squares slope) and two seasonal-channel
 features (RMS, lag-1 autocorrelation).  Tokens from consecutive windows form
 the sequences the classifier consumes.
 
+The two Hull-EMA features are dot products of each window with two weight
+vectors that depend only on the window length and the :class:`MaConfig`
+(the HEMA is linear), built once from one :func:`~tdafault.movavg.hema`
+call on two impulses; no window is filtered.
+
 Moment conventions are population central moments; degenerate (constant)
 windows yield 0 rather than NaN for the moment ratios and the
 autocorrelation.
@@ -13,6 +18,7 @@ autocorrelation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,6 +190,33 @@ def rms(x) -> float:
     return float(_rms_rows(arr.reshape(1, -1))[0])
 
 
+@functools.lru_cache(maxsize=32)
+def _hema_weights(length: int, ma: MaConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only weights of the last value and the settled mean of a window's HEMA.
+
+    The HEMA is linear and, past its first-sample seed, time-invariant, so
+    both features of a ``length``-sample window ``x`` are dot products
+    ``x @ w``.  One :func:`hema` call on two impulses gives the weights: the
+    response ``seed`` to an impulse at sample 0 (the seeded start) and the
+    impulse response ``h`` of any later sample, so output ``t`` is
+    ``x[0] * seed[t] + sum_{1<=j<=t} x[j] * h[t - j]``.  The mean runs over
+    ``[valid_from, length)``, or over the whole window when that is empty.
+    """
+    impulses = np.zeros((2, length + 1))
+    impulses[0, 0] = impulses[1, 1] = 1.0
+    filtered = hema(impulses, ma)
+    seed, h = filtered.values[0, :length], filtered.values[1, 1:]
+    start = filtered.valid_from if filtered.valid_from < length else 0
+    last = np.concatenate((seed[-1:], h[length - 2::-1]))  # x[j] weighs h[length - 1 - j]
+    # mean weight of x[j], j >= 1: sum of h[t - j] over t in [max(start, j), length)
+    cum = np.concatenate(([0.0], np.cumsum(h)))
+    j = np.arange(1, length)
+    mean = np.concatenate(([seed[start:].sum()], cum[length - j] - cum[np.maximum(start - j, 0)]))
+    mean /= length - start
+    last.flags.writeable = mean.flags.writeable = False
+    return last, mean
+
+
 def _window_tokens(res: np.ndarray, tr: np.ndarray, se: np.ndarray, ma: MaConfig,
                    out: np.ndarray) -> None:
     """Write the tokens of a block of windows (the rows of each component) into ``out``.
@@ -192,11 +225,8 @@ def _window_tokens(res: np.ndarray, tr: np.ndarray, se: np.ndarray, ma: MaConfig
     depend on which other windows share its block.
     """
     length = res.shape[1]
-    filtered = hema(res, ma)
-    out[:, 0] = filtered.values[:, -1]
-    valid = filtered.valid_values if filtered.valid_from < length else filtered.values
-    out[:, 1] = valid.mean(axis=1)
-    del filtered, valid
+    for column, weights in enumerate(_hema_weights(length, ma)):
+        out[:, column] = _row_dot(res, np.broadcast_to(weights, res.shape))
     out[:, 2], out[:, 3] = _moment_ratios(res)
     out[:, 4] = _rms_rows(res)
 
@@ -220,7 +250,10 @@ def featurize(decomp, spec: WindowSpec, ma: MaConfig | None = None, label: str |
     """Slice a decomposition into windows and compute one token per window.
 
     The Hull-EMA features are computed from each window's residual samples
-    alone, so tokens depend only on their own window.  Windows are processed
+    alone, as dot products with the cached weights of ``hema`` for this
+    window length and ``ma``, so tokens depend only on their own window.
+    Arithmetic overflow is not warned about; it surfaces as the
+    ``ValueError`` for non-finite tokens.  Windows are processed
     in blocks of ``BLOCK_SAMPLES // spec.length`` (at least one), as the rows
     of one window matrix per component, so memory stays bounded however long
     the recording is.
@@ -246,9 +279,11 @@ def featurize(decomp, spec: WindowSpec, ma: MaConfig | None = None, label: str |
     )
     tokens = np.empty((count, len(FEATURE_NAMES)))
     block = max(1, BLOCK_SAMPLES // spec.length)
-    for lo in range(0, count, block):
-        rows = slice(lo, lo + block)
-        _window_tokens(res[rows], tr[rows], se[rows], ma, tokens[rows])
+    # Overflow shows up as a non-finite token, reported by the check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, count, block):
+            rows = slice(lo, lo + block)
+            _window_tokens(res[rows], tr[rows], se[rows], ma, tokens[rows])
     if not np.all(np.isfinite(tokens)):
         raise ValueError("featurization produced non-finite values")
     return TokenSequence(tokens=tokens, label=label)

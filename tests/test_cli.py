@@ -331,12 +331,19 @@ class TestExitCodes:
         assert err.startswith("tdafault: ") and err.count("\n") == 1, err
         assert "hint_hz" in err
 
-    def test_invalid_featurize_flag_is_data_error(self, chain, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--window-len", "0", "window length must be >= 8"),
+        ("--ma-window", "1", "Hull construction needs window >= 2"),
+        ("--ma-window", "0", "window must be >= 1"),
+    ], ids=["window-len-0", "ma-window-1", "ma-window-0"])
+    def test_invalid_featurize_flag_is_data_error(self, chain, tmp_path, capsys,
+                                                  flag, value, message):
         code = main(["featurize", "--store", str(chain["store"]),
-                     "--out", str(tmp_path / "f"), "--window-len", "0"])
+                     "--out", str(tmp_path / "f"), flag, value])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("tdafault: ") and err.count("\n") == 1, err
+        assert message in err
 
     # overflow inside matmul is the expected route to the NumericsError
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

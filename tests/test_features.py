@@ -1,6 +1,7 @@
 """Window featurization against a from-scratch reference implementation."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,38 @@ def brute_token(res, tr, se, ma):
             lag1,
         ]
     )
+
+
+# (window length, HEMA config): the default, both other alpha and Hull rules,
+# the shortest Hull window, and a warm-up (44 samples) longer than the window.
+HEMA_CASES = [
+    (128, MaConfig(window=16)),
+    (128, MaConfig(hull_mode="paper_literal")),
+    (128, MaConfig(ema_alpha=0.3)),
+    (128, MaConfig(window=2)),
+    (32, MaConfig(window=40)),
+]
+HEMA_IDS = ["default", "paper-literal", "alpha-0.3", "window-2", "warm-up-past-window"]
+
+
+class TestHemaWeights:
+    @pytest.mark.parametrize("length, ma", HEMA_CASES, ids=HEMA_IDS)
+    def test_weights_equal_hema_of_identity_rows(self, length, ma):
+        last, mean = features_module._hema_weights(length, ma)
+        want_last, want_mean = np.empty(length), np.empty(length)
+        for lo in range(0, length, 16):
+            filt = hema(np.eye(length)[lo:lo + 16], ma)
+            settled = filt.valid_values if filt.valid_from < length else filt.values
+            want_last[lo:lo + 16] = filt.values[:, -1]
+            want_mean[lo:lo + 16] = settled.mean(axis=1)
+        np.testing.assert_allclose(last, want_last, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(mean, want_mean, rtol=0, atol=1e-15)
+
+    def test_weights_are_cached_and_read_only(self):
+        weights = features_module._hema_weights(64, MaConfig())
+        assert features_module._hema_weights(64, MaConfig()) is weights
+        for w in weights:
+            assert not w.flags.writeable
 
 
 class TestScalarStats:
@@ -130,19 +163,28 @@ class TestFeaturize:
         )
         return decompose_additive(TimeSeries(x, 100.0, label="demo"), 16)
 
-    def test_matches_brute_force_reference(self, decomp):
-        spec = WindowSpec(length=128, stride=64)
-        ma = MaConfig(window=16)
-        seq = featurize(decomp, spec, ma=ma, label="demo")
+    @pytest.mark.parametrize("length, ma", HEMA_CASES, ids=HEMA_IDS)
+    def test_matches_brute_force_reference(self, decomp, length, ma):
+        stride = length // 2
+        seq = featurize(decomp, WindowSpec(length=length, stride=stride), ma=ma, label="demo")
         n = decomp.trend.size
-        expected_t = (n - 128) // 64 + 1
+        expected_t = (n - length) // stride + 1
         assert seq.tokens.shape == (expected_t, 9)
         for w in range(expected_t):
-            sl = slice(w * 64, w * 64 + 128)
+            sl = slice(w * stride, w * stride + length)
             want = brute_token(
                 decomp.residual[sl], decomp.trend[sl], decomp.seasonal[sl], ma
             )
-            np.testing.assert_allclose(seq.tokens[w], want, atol=1e-10)
+            np.testing.assert_allclose(seq.tokens[w], want, rtol=1e-12, atol=1e-12)
+
+    def test_overflow_is_one_value_error_without_warnings(self):
+        rng = np.random.default_rng(11)
+        x = 1e150 * (np.sin(2 * np.pi * np.arange(1200) / 16) + rng.normal(0, 0.5, 1200))
+        d = decompose_additive(TimeSeries(x, 100.0), 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                featurize(d, WindowSpec(length=128, stride=64))
 
     @pytest.mark.parametrize(
         "fs, duration, length, stride",
