@@ -217,8 +217,8 @@ def _cmd_featurize(args) -> int:
 def _cmd_train(args) -> int:
     dataset = load_features(args.features)
     model_kwargs, train_kwargs = _settings(args, "model", "train")
-    segment_len = dataset.manifest["split"]["segment_len"]
-    model_kwargs.setdefault("t_max", max(ModelConfig.t_max, segment_len))
+    longest = max(split.tokens.shape[1] for split in (dataset.train, dataset.val, dataset.test))
+    model_kwargs.setdefault("t_max", max(ModelConfig.t_max, longest))
     model_cfg = ModelConfig(**model_kwargs, n_classes=len(dataset.labels), seed=args.seed)
     train_cfg = TrainConfig(**train_kwargs, seed=args.seed)
 

@@ -252,16 +252,30 @@ def save_recordings(
 def load_recordings(dirpath) -> list[TimeSeries]:
     """Read a directory store written by :func:`save_recordings`.
 
-    Each ``.npy`` must be a 1-D float64 array of the manifest's
-    ``n_samples``; anything else raises ``ValueError`` naming the key.
+    ``recordings`` must be a non-empty list of entries, each with a bare
+    file name ``key``, a string or null ``label``, a number
+    ``sample_rate_hz`` and an int ``n_samples``, and each ``.npy`` a 1-D
+    float64 array of its ``n_samples``; anything else raises ``ValueError``
+    naming the entry.
     """
     dirpath = Path(dirpath)
-    manifest = _load_json_object(dirpath / "manifest.json", "store manifest")
+    manifest_path = dirpath / "manifest.json"
+    manifest = _load_json_object(manifest_path, "store manifest")
     if manifest.get("format") != STORE_FORMAT:
         raise ValueError(f"unrecognized store format {manifest.get('format')!r}")
+    entries = manifest.get("recordings")
+    if not (isinstance(entries, list) and entries):
+        raise ValueError(f"{manifest_path}: 'recordings' must be a non-empty list, got {entries!r}")
     out = []
-    for entry in manifest["recordings"]:
-        key = entry["key"]
+    for i, entry in enumerate(entries):
+        key = entry.get("key") if isinstance(entry, dict) else None
+        where = f"{manifest_path} recordings[{i}] (key {key!r})"
+        if not (isinstance(key, str) and key and "/" not in key and ".." not in key
+                and isinstance(entry.get("label", 0), (str, type(None)))
+                and type(entry.get("sample_rate_hz")) in (int, float)
+                and type(entry.get("n_samples")) is int):
+            raise ValueError(f"{where} needs a bare file name 'key', a string or null 'label', "
+                             f"a number 'sample_rate_hz' and an int 'n_samples', got {entry!r}")
         samples = _load_npy(dirpath / f"{key}.npy", f"recording {key!r}")
         expected = (entry["n_samples"],)
         if samples.dtype != np.float64 or samples.shape != expected:
@@ -269,13 +283,10 @@ def load_recordings(dirpath) -> list[TimeSeries]:
                 f"recording {key!r}: expected float64 samples of shape {expected}, "
                 f"got {samples.dtype} of shape {samples.shape}"
             )
-        out.append(
-            TimeSeries(
-                samples=samples,
-                sample_rate_hz=entry["sample_rate_hz"],
-                label=entry["label"],
-            )
-        )
+        try:
+            out.append(TimeSeries(samples, entry["sample_rate_hz"], entry["label"]))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return out
 
 

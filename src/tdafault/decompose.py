@@ -33,8 +33,8 @@ class TimeSeries:
             raise ValueError(f"samples must be a non-empty 1-D sequence, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("samples contain NaN or Inf")
-        if not self.sample_rate_hz > 0:
-            raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        if not 0 < self.sample_rate_hz < np.inf:
+            raise ValueError(f"sample_rate_hz must lie in (0, inf), got {self.sample_rate_hz}")
         object.__setattr__(self, "samples", arr)
 
     def __len__(self) -> int:

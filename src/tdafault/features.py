@@ -8,8 +8,8 @@ the sequences the classifier consumes.
 
 The two Hull-EMA features are dot products of each window with two weight
 vectors that depend only on the window length and the :class:`MaConfig`
-(the HEMA is linear), built once from one :func:`~tdafault.movavg.hema`
-call on two impulses; no window is filtered.
+(the HEMA is linear), built once from two :func:`~tdafault.movavg.hema`
+calls on an impulse; no window is filtered.
 
 Moment conventions are population central moments; degenerate (constant)
 windows yield 0 rather than NaN for the moment ratios and the
@@ -196,16 +196,16 @@ def _hema_weights(length: int, ma: MaConfig) -> tuple[np.ndarray, np.ndarray]:
 
     The HEMA is linear and, past its first-sample seed, time-invariant, so
     both features of a ``length``-sample window ``x`` are dot products
-    ``x @ w``.  One :func:`hema` call on two impulses gives the weights: the
+    ``x @ w``.  Two :func:`hema` calls on one impulse give the weights: the
     response ``seed`` to an impulse at sample 0 (the seeded start) and the
     impulse response ``h`` of any later sample, so output ``t`` is
     ``x[0] * seed[t] + sum_{1<=j<=t} x[j] * h[t - j]``.  The mean runs over
     ``[valid_from, length)``, or over the whole window when that is empty.
     """
-    impulses = np.zeros((2, length + 1))
-    impulses[0, 0] = impulses[1, 1] = 1.0
-    filtered = hema(impulses, ma)
-    seed, h = filtered.values[0, :length], filtered.values[1, 1:]
+    impulse = np.zeros(length + 1)
+    impulse[1] = 1.0
+    filtered = hema(impulse, ma)
+    h, seed = filtered.values[1:], hema(impulse[1:], ma).values
     start = filtered.valid_from if filtered.valid_from < length else 0
     last = np.concatenate((seed[-1:], h[length - 2::-1]))  # x[j] weighs h[length - 1 - j]
     # mean weight of x[j], j >= 1: sum of h[t - j] over t in [max(start, j), length)

@@ -256,8 +256,11 @@ class TdaEncoder:
 
         Runs under :func:`~tdafault.autodiff.no_grad`, so no graph is built.
         """
+        batch = self._check_tokens(tokens)
+        if len(batch) > 1:
+            raise ValueError(f"logits takes one sequence, got a batch of {len(batch)}")
         with ad.no_grad():
-            return self.forward(tokens).data[0].copy()
+            return self.forward(batch).data[0].copy()
 
     def predict(self, tokens: np.ndarray) -> int:
         """Class index; ties resolve to the lowest index via argmax."""

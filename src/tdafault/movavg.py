@@ -3,9 +3,8 @@
 All filters return a :class:`FilteredSeries` whose ``values`` align 1:1 with
 the input samples.  Outputs before ``valid_from`` come from a documented
 warm-up rule (partial windows for the WMA, first-sample seeding for the EMA)
-and should be excluded from downstream statistics.  :func:`ema` and
-:func:`hema` also filter each row of a 2-D array along its last axis, exactly
-as the 1-D call would filter that row.
+and should be excluded from downstream statistics.  Every filter takes one 1-D
+series.
 
 The Hull construction exists in two modes.  ``hull_standard`` is the
 published recipe: ``Diff = 2*MA(ceil(n/2)) - MA(n)`` re-smoothed with window
@@ -18,7 +17,7 @@ regression check.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -68,11 +67,10 @@ class MaConfig:
 class FilteredSeries:
     """Filter output aligned with its input.
 
-    ``values[..., t]`` for ``t < valid_from`` are warm-up samples (partial
-    window or spin-up region) and are flagged rather than silently mixed into
+    ``values[t]`` for ``t < valid_from`` are warm-up samples (partial window
+    or spin-up region) and are flagged rather than silently mixed into
     statistics; ``valid_from`` may equal or exceed the series length when the
-    series is shorter than the warm-up span.  For a 2-D input every row is a
-    series and shares ``valid_from``.
+    series is shorter than the warm-up span.
     """
 
     values: np.ndarray
@@ -81,13 +79,13 @@ class FilteredSeries:
     @property
     def valid_values(self) -> np.ndarray:
         """The samples with a full window of history behind them."""
-        return self.values[..., self.valid_from:]
+        return self.values[self.valid_from:]
 
 
-def _as_series(x, max_ndim: int = 1) -> np.ndarray:
+def _as_series(x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
-    if not 1 <= arr.ndim <= max_ndim:
-        raise ValueError(f"expected at most {max_ndim}-D input, got shape {arr.shape}")
+    if arr.ndim != 1:
+        raise ValueError(f"expected a 1-D series, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError("input series is empty")
     return arr
@@ -121,83 +119,26 @@ def wma(x, n: int) -> FilteredSeries:
     return FilteredSeries(out, valid_from=n - 1)
 
 
-# The scan's weights grow as (1-alpha)**-i across a block; a block is cut
-# where they would pass 2**_SCAN_BITS, or at _MAX_BLOCK samples.  Both limits
-# depend on alpha alone, so the blocks of a row never depend on other rows.
-_SCAN_BITS = 512
-_MAX_BLOCK = 4096
-
-
-@functools.lru_cache(maxsize=32)
-def _scan_tables(alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``alpha * beta**-i`` and ``beta**i`` for one block, ``beta = 1 - alpha``."""
-    beta = 1.0 - alpha
-    span = -math.log2(beta)
-    length = _MAX_BLOCK if span * _MAX_BLOCK <= _SCAN_BITS else 1 + int(_SCAN_BITS / span)
-    i = np.arange(length, dtype=np.float64)
-    grow = alpha * np.power(beta, -i)
-    decay = np.power(beta, i)
-    grow.flags.writeable = decay.flags.writeable = False
-    return grow, decay
-
-
-def _ema_scan(arr: np.ndarray, alpha: float) -> np.ndarray:
-    """The recursion as a prefix sum per block (Blelloch 1990).
-
-    Inside a block starting at ``lo``, ``y[lo+j] = beta**j * (beta*y[lo-1] +
-    sum_{i<=j} alpha * beta**-i * x[lo+i])``; the first block starts from
-    ``y[0] = x[0]`` instead.  A row of finite inputs overflows only when its
-    magnitudes pass about ``2**(1023 - _SCAN_BITS)``, which leaves its last
-    output non-finite.
-    """
-    beta = 1.0 - alpha
-    grow, decay = _scan_tables(alpha)
-    out = np.empty(arr.shape)
-    for lo in range(0, arr.shape[-1], grow.size):
-        hi = min(lo + grow.size, arr.shape[-1])
-        block = out[..., lo:hi]
-        np.multiply(arr[..., lo:hi], grow[:hi - lo], out=block)
-        if lo:
-            block[..., 0] += beta * carry
-        else:
-            block[..., 0] = arr[..., 0]
-        np.cumsum(block, axis=-1, out=block)
-        block *= decay[:hi - lo]
-        carry = block[..., -1]
-    return out
-
-
 def ema(x, alpha: float) -> FilteredSeries:
     """Exponential moving average ``out[t] = alpha*x[t] + (1-alpha)*out[t-1]``.
 
     Seeded with ``out[0] = x[0]``; every output is defined, so
-    ``valid_from`` is 0.  Evaluated as a blocked prefix sum; it agrees with
-    the sequential recursion to within a few ulps of ``max|x| / alpha``.
+    ``valid_from`` is 0.  The recursion runs sample by sample in Python
+    floats, so it gives the definition's own bits at any magnitude, at the
+    cost of an interpreted step per sample.
 
     Parameters
     ----------
-    x : sequence of float, or 2-D array
-        A 2-D array is filtered row by row along its last axis, each row
-        seeded from its own first sample.
+    x : sequence of float
     alpha : float
         Smoothing factor in ``(0, 1]``.
     """
-    arr = _as_series(x, max_ndim=2)
+    arr = _as_series(x)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if alpha == 1.0:
-        return FilteredSeries(arr.copy(), valid_from=0)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is handled below
-        out = _ema_scan(arr, alpha)
-    rows, out_rows = arr.reshape(-1, arr.shape[-1]), out.reshape(-1, arr.shape[-1])
-    over = ~np.isfinite(out_rows[:, -1])
-    if over.any():
-        over[over] = np.isfinite(rows[over]).all(axis=1)
-        # Scale each overflowing row by the power of two that brings its
-        # largest magnitude under 1: exact, and the same for a 1-D call.
-        _, exponent = np.frexp(np.abs(rows[over]).max(axis=1, keepdims=True))
-        out_rows[over] = np.ldexp(_ema_scan(np.ldexp(rows[over], -exponent), alpha), exponent)
-    return FilteredSeries(out, valid_from=0)
+    beta = 1.0 - alpha
+    out = itertools.accumulate(arr.tolist(), lambda prev, v: alpha * v + beta * prev)
+    return FilteredSeries(np.fromiter(out, np.float64, arr.size), valid_from=0)
 
 
 def _hull_windows(n: int, mode: str) -> tuple[int, int, int]:
@@ -212,12 +153,7 @@ def _staged_hull(x, cfg: MaConfig, stage) -> FilteredSeries:
     if cfg.window < 2:
         raise ValueError(f"Hull construction needs window >= 2, got {cfg.window}")
     w1, w2, w3 = _hull_windows(cfg.window, cfg.hull_mode)
-    # diff = 2*first - second, built in place so that at most two
-    # series-sized arrays are alive at once.
-    diff = stage(x, w1).values
-    diff *= 2.0
-    diff -= stage(x, w2).values
-    out = stage(diff, w3)
+    out = stage(2.0 * stage(x, w1).values - stage(x, w2).values, w3)
     # Warm-up accounting is by window even for the EMA stages: the final
     # stage needs w3 settled samples on top of the slower intermediate.
     valid_from = (max(w1, w2) - 1) + (w3 - 1)
@@ -241,6 +177,6 @@ def hema(x, cfg: MaConfig) -> FilteredSeries:
     Stage alphas follow ``cfg.alpha_for`` on the same windows :func:`hma`
     uses, so with the default window-derived rule the ``hull_standard`` mode
     keeps the low-lag character while ``paper_literal`` collapses to a
-    double EMA.  Like :func:`ema`, it filters each row of a 2-D array.
+    double EMA.
     """
     return _staged_hull(x, cfg, lambda s, w: ema(s, cfg.alpha_for(w)))

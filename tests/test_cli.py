@@ -154,6 +154,15 @@ class TestIngest:
         assert code == EXIT_OK
         np.testing.assert_array_equal(np.load(store / "rec_00000.npy"), np.ones(32))
 
+    def test_infinite_sample_rate_is_data_error(self, tmp_path, capsys):
+        # a store that load_recordings would reject is never written
+        np.savetxt(tmp_path / "a.csv", np.sin(np.arange(64) / 5.0), delimiter=",")
+        code = main(["ingest", "--input", f"a={tmp_path / 'a.csv'}", "--fs", "inf",
+                     "--out", str(tmp_path / "store")])
+        assert code == EXIT_DATA
+        assert "sample_rate_hz" in capsys.readouterr().err
+        assert not (tmp_path / "store").exists()
+
     def test_unsupported_suffix(self, tmp_path, capsys):
         bad = tmp_path / "x.wav"
         bad.write_bytes(b"RIFF")
@@ -193,6 +202,48 @@ class TestExitCodes:
         (store / "manifest.json").write_text("{ not json")
         code = main(["featurize", "--store", str(store), "--out", str(tmp_path / "f")])
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("verb", ["featurize", "decompose"])
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.update(recordings=5),
+        lambda m: m.update(recordings=[]),
+        lambda m: m.update(recordings=["rec_00000"]),
+        lambda m: m["recordings"][0].update(sample_rate_hz="4096"),
+        lambda m: m["recordings"][0].update(sample_rate_hz=None),
+        lambda m: m["recordings"][0].update(label=3),
+        lambda m: m["recordings"][0].update(key="../../x"),
+    ], ids=["int-recordings", "empty-recordings", "string-entry", "string-rate", "null-rate",
+            "int-label", "parent-key"])
+    def test_malformed_store_manifest_is_data_error(self, chain, tmp_path, capsys, verb, edit):
+        store = tmp_path / "store"
+        store.mkdir()
+        manifest = json.loads((chain["store"] / "manifest.json").read_text())
+        manifest["recordings"] = manifest["recordings"][:1]
+        shutil.copy(chain["store"] / "rec_00000.npy", store)
+        edit(manifest)
+        (store / "manifest.json").write_text(json.dumps(manifest))
+        code = main([verb, "--store", str(store), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("tdafault: ") and err.count("\n") == 1, err
+        assert str(store / "manifest.json") in err and "recordings" in err
+
+    @pytest.mark.parametrize("segment_len", ["16", 10**6, None], ids=["string", "huge", "absent"])
+    def test_train_sizes_positions_from_the_tokens(self, chain, tmp_path, segment_len):
+        # the manifest's split block is a record only; train reads the token arrays
+        feats = tmp_path / "feats"
+        shutil.copytree(chain["feats"], feats)
+        manifest = json.loads((feats / "manifest.json").read_text())
+        if segment_len is None:
+            del manifest["split"]
+        else:
+            manifest["split"]["segment_len"] = segment_len
+        (feats / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["train", "--features", str(feats), "--out", str(tmp_path / "m"),
+                     "--lr", "0.005", "--epochs", "2", "--patience", "2"])
+        assert code == EXIT_OK
+        assert ((tmp_path / "m" / "checkpoint.json").read_bytes()
+                == (chain["model"] / "checkpoint.json").read_bytes())
 
     @pytest.mark.parametrize("flag", [["--heads", "0"], ["--dropout", "1.0"]])
     def test_invalid_model_flag_is_data_error(self, chain, tmp_path, capsys, flag):

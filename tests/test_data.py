@@ -153,6 +153,14 @@ class TestGenRecording:
         ]
 
 
+def _store_with_entries(store, entries):
+    """Replace the ``recordings`` of the store manifest in ``store``."""
+    path = store / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["recordings"] = entries
+    path.write_text(json.dumps(manifest))
+
+
 class TestStore:
     @pytest.fixture()
     def recordings(self):
@@ -215,6 +223,57 @@ class TestStore:
     def test_empty_save_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save_recordings(tmp_path / "s", [])
+
+    @pytest.mark.parametrize("value", [5, [], None, {"key": "rec_00000"}],
+                             ids=["int", "empty-list", "null", "object"])
+    def test_recordings_not_a_non_empty_list_rejected(self, tmp_path, recordings, value):
+        store = tmp_path / "s"
+        save_recordings(store, recordings)
+        _store_with_entries(store, value)
+        with pytest.raises(ValueError, match=r"manifest\.json: 'recordings' must be a non-empty"):
+            load_recordings(store)
+
+    @pytest.mark.parametrize("field, value", [
+        ("key", "../../x"), ("key", "sub/rec_00000"), ("key", ""), ("key", 7),
+        ("label", 3), ("label", ["IR_007_1"]),
+        ("sample_rate_hz", "4096"), ("sample_rate_hz", None), ("sample_rate_hz", True),
+        ("sample_rate_hz", 0), ("sample_rate_hz", float("inf")), ("n_samples", 512.0),
+        ("n_samples", "512"),
+    ], ids=["parent-key", "nested-key", "empty-key", "int-key", "int-label", "list-label",
+            "string-rate", "null-rate", "bool-rate", "zero-rate", "infinite-rate", "float-n",
+            "string-n"])
+    def test_malformed_entry_field_rejected(self, tmp_path, recordings, field, value):
+        store = tmp_path / "s"
+        entry = save_recordings(store, recordings[:1])["recordings"][0]
+        entry[field] = value
+        _store_with_entries(store, [entry])
+        with pytest.raises(ValueError, match=rf"recordings\[0\] \(key .*\).*{field}"):
+            load_recordings(store)
+
+    @pytest.mark.parametrize("field", ["key", "label", "sample_rate_hz", "n_samples"])
+    def test_entry_missing_a_field_rejected(self, tmp_path, recordings, field):
+        store = tmp_path / "s"
+        entry = save_recordings(store, recordings[:1])["recordings"][0]
+        del entry[field]
+        _store_with_entries(store, [entry])
+        with pytest.raises(ValueError, match=r"recordings\[0\] \(key .*\) needs a bare file name"):
+            load_recordings(store)
+
+    def test_entry_that_is_not_an_object_rejected(self, tmp_path, recordings):
+        store = tmp_path / "s"
+        save_recordings(store, recordings)
+        _store_with_entries(store, ["rec_00000"])
+        with pytest.raises(ValueError, match=r"recordings\[0\] \(key None\) needs"):
+            load_recordings(store)
+
+    def test_key_outside_the_store_is_not_read(self, tmp_path, recordings):
+        # a valid recording one level up must not be reachable through the key
+        store = tmp_path / "s"
+        entry = save_recordings(store, recordings[:1])["recordings"][0]
+        np.save(tmp_path / "outside.npy", recordings[0].samples)
+        _store_with_entries(store, [dict(entry, key="../outside")])
+        with pytest.raises(ValueError, match=r"recordings\[0\] \(key '\.\./outside'\) needs"):
+            load_recordings(store)
 
 
 class TestExternalLoaders:

@@ -341,8 +341,9 @@ class TestTimeSeries:
             TimeSeries(samples=np.array([1.0, np.nan]), sample_rate_hz=10.0)
         with pytest.raises(ValueError):
             TimeSeries(samples=np.array([]), sample_rate_hz=10.0)
-        with pytest.raises(ValueError):
-            TimeSeries(samples=np.ones(4), sample_rate_hz=0.0)
+        for rate in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="sample_rate_hz"):
+                TimeSeries(samples=np.ones(4), sample_rate_hz=rate)
 
     def test_len_and_label(self):
         ts = TimeSeries(samples=np.ones(7), sample_rate_hz=10.0, label="x")

@@ -77,11 +77,10 @@ class TestHemaWeights:
     def test_weights_equal_hema_of_identity_rows(self, length, ma):
         last, mean = features_module._hema_weights(length, ma)
         want_last, want_mean = np.empty(length), np.empty(length)
-        for lo in range(0, length, 16):
-            filt = hema(np.eye(length)[lo:lo + 16], ma)
+        for j, row in enumerate(np.eye(length)):
+            filt = hema(row, ma)
             settled = filt.valid_values if filt.valid_from < length else filt.values
-            want_last[lo:lo + 16] = filt.values[:, -1]
-            want_mean[lo:lo + 16] = settled.mean(axis=1)
+            want_last[j], want_mean[j] = filt.values[-1], settled.mean()
         np.testing.assert_allclose(last, want_last, rtol=0, atol=1e-15)
         np.testing.assert_allclose(mean, want_mean, rtol=0, atol=1e-15)
 

@@ -94,6 +94,14 @@ class TestForward:
         for i in range(4):
             np.testing.assert_allclose(logits[i], model.logits(batch[i]), rtol=1e-14, atol=1e-15)
 
+    def test_logits_and_predict_reject_a_batch(self):
+        model = TdaEncoder(ModelConfig(**TINY, seed=3))
+        batch = np.stack([tokens_for(5, seed=s) for s in range(2)])
+        for method in (model.logits, model.predict):
+            with pytest.raises(ValueError, match="batch of 2"):
+                method(batch)
+        np.testing.assert_array_equal(model.logits(batch[:1]), model.logits(batch[0]))
+
     def test_token_validation(self):
         model = TdaEncoder(ModelConfig(**TINY, seed=0))
         with pytest.raises(ValueError):
