@@ -125,41 +125,44 @@ def _settings(args, *names: str) -> list[dict]:
 def _cmd_synth(args) -> int:
     [settings] = _settings(args, "synth")
     cfg = SynthConfig(**settings, seed=args.seed)
-    recordings = gen_synthetic(cfg)
-    save_recordings(
-        args.out, recordings, meta={"synth_config": asdict(cfg)}, created=_stamp(args)
+    manifest = save_recordings(
+        args.out, gen_synthetic(cfg), meta={"synth_config": asdict(cfg)}, created=_stamp(args)
     )
     print(
-        f"wrote {len(recordings)} recordings "
+        f"wrote {len(manifest['recordings'])} recordings "
         f"({len(FAULT_CLASSES)} classes x {cfg.recordings_per_class}) to {args.out}"
     )
     return EXIT_OK
 
 
+def _ingested(sources: list[dict], fs: float, var_names):
+    """The recordings of each source file in turn, read when they are reached."""
+    for source in sources:
+        label, path = source["label"], source["path"]
+        if Path(path).suffix.lower() == ".mat":
+            yield from load_recordings_mat(path, fs, label=label, var_names=var_names)
+        else:
+            yield load_recording_csv(path, fs, label=label)
+
+
 def _cmd_ingest(args) -> int:
-    recordings = []
     sources = []
     for spec in args.input:
         label, _, path = spec.partition("=")
         if not path:
             raise ValueError(f"--input must look like LABEL=PATH, got {spec!r}")
         suffix = Path(path).suffix.lower()
-        if suffix == ".mat":
-            recordings.extend(
-                load_recordings_mat(path, args.fs, label=label, var_names=args.var or None)
-            )
-        elif suffix == ".csv":
-            recordings.append(load_recording_csv(path, args.fs, label=label))
-        else:
+        if suffix not in (".mat", ".csv"):
             raise ValueError(f"unsupported recording format {suffix!r} for {path}")
         sources.append({"label": label, "path": path})
-    save_recordings(
+    manifest = save_recordings(
         args.out,
-        recordings,
+        _ingested(sources, args.fs, args.var or None),
         meta={"sample_rate_hz": args.fs, "sources": sources},
         created=_stamp(args),
     )
-    print(f"ingested {len(recordings)} recordings from {len(sources)} files to {args.out}")
+    print(f"ingested {len(manifest['recordings'])} recordings from {len(sources)} files "
+          f"to {args.out}")
     return EXIT_OK
 
 
@@ -167,6 +170,7 @@ def _cmd_decompose(args) -> int:
     recordings = load_recordings(args.store)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "manifest.json").unlink(missing_ok=True)
     entries = []
     for i, ts in enumerate(recordings):
         if args.period is not None:
@@ -201,13 +205,12 @@ def _cmd_featurize(args) -> int:
     window = WindowSpec(length=kwargs.pop("window_len"), stride=kwargs.pop("stride"))
     ma = MaConfig(window=kwargs.pop("ma_window"))
     split = SplitConfig(**kwargs)
-    recordings = load_recordings(args.store)
-    dataset = build_dataset(recordings, window=window, ma=ma, split=split,
+    dataset = build_dataset(load_recordings(args.store), window=window, ma=ma, split=split,
                             period_hint_hz=args.period_hint_hz)
     dataset.manifest["created"] = _stamp(args)
     save_features(args.out, dataset)
     print(
-        f"featurized {len(recordings)} recordings -> "
+        f"featurized {len(dataset.manifest['recordings'])} recordings -> "
         f"{len(dataset.train)}/{len(dataset.val)}/{len(dataset.test)} train/val/test segments "
         f"of {split.segment_len} tokens in {args.out}"
     )

@@ -15,11 +15,18 @@ exactly periodic; severities scale burst amplitude linearly.
 deterministic contiguous train/validation/test split: within each class,
 segments are kept in time order and the earliest go to training, the latest
 to test, so evaluation always happens on later data than the model saw.
+
+The store functions stream: ``gen_synthetic`` and ``load_recordings`` yield
+one recording at a time, and ``save_recordings`` and ``build_dataset`` take
+any iterable in one pass, so a store verb holds one recording in memory
+whatever the size of the store.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -60,6 +67,8 @@ FEATURES_FORMAT = "tdafault-features-v1"
 SPLITS = ("train", "val", "test")
 
 SHAFT_RPM = 1772.0
+# Most samples one synthetic recording may hold (16 GiB of float64).
+MAX_SAMPLES = 2**31
 
 # Characteristic defect frequencies as multiples of the shaft rotation rate.
 DEFECT_RATE_PER_REV = {"inner": 5.4, "outer": 3.6, "ball": 4.7}
@@ -102,7 +111,7 @@ def shaft_period_samples(sample_rate_hz: float, rpm: float = SHAFT_RPM) -> int:
     period = int(round(sample_rate_hz * 60.0 / rpm))
     if period < 2:
         raise ValueError(
-            f"sample rate {sample_rate_hz} Hz too low for {rpm} rpm (period {period})"
+            f"sample_rate_hz {sample_rate_hz} too low for shaft_rpm {rpm} (period {period})"
         )
     return period
 
@@ -122,14 +131,21 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sample_rate_hz <= 0 or self.duration_s <= 0:
-            raise ValueError("sample_rate_hz and duration_s must be positive")
+        for name in ("sample_rate_hz", "duration_s", "shaft_rpm", "burst_decay_s"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must lie in (0, inf), got {getattr(self, name)}")
+        for name in ("noise_sigma", "shaft_amplitude", "burst_amplitude"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.noise_sigma < 0:
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.recordings_per_class < 1:
             raise ValueError("recordings_per_class must be >= 1")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if self.burst_decay_s <= 0:
-            raise ValueError("burst_decay_s must be positive")
+        n = self.sample_rate_hz * self.duration_s
+        if not (math.isfinite(n) and 1 <= round(n) <= MAX_SAMPLES):
+            raise ValueError(f"sample_rate_hz * duration_s must give 1 to {MAX_SAMPLES} samples "
+                             f"per recording, got {n}")
+        shaft_period_samples(self.sample_rate_hz, self.shaft_rpm)
 
     @property
     def shaft_hz(self) -> float:
@@ -178,13 +194,11 @@ def gen_recording(fault: FaultClass, cfg: SynthConfig, rec_idx: int) -> TimeSeri
     return TimeSeries(samples=x, sample_rate_hz=fs, label=fault.name)
 
 
-def gen_synthetic(cfg: SynthConfig) -> list[TimeSeries]:
-    """All classes x recordings in canonical order (class-major)."""
-    return [
-        gen_recording(fault, cfg, rec_idx)
-        for fault in FAULT_CLASSES
-        for rec_idx in range(cfg.recordings_per_class)
-    ]
+def gen_synthetic(cfg: SynthConfig) -> Iterator[TimeSeries]:
+    """All classes x recordings in canonical order (class-major), one at a time."""
+    for fault in FAULT_CLASSES:
+        for rec_idx in range(cfg.recordings_per_class):
+            yield gen_recording(fault, cfg, rec_idx)
 
 
 # ---- recording store and features directory ---------------------------------
@@ -215,20 +229,23 @@ def _load_npy(path: Path, what: str) -> np.ndarray:
 
 
 def save_recordings(
-    dirpath, recordings, *, meta: dict | None = None, created: str | None = None
+    dirpath, recordings: Iterable[TimeSeries], *, meta: dict | None = None,
+    created: str | None = None
 ) -> dict:
     """Write recordings to a directory store (one .npy each plus a manifest).
 
-    The manifest carries only input-derived fields (``created`` stays null
-    unless supplied), so identical inputs produce byte-identical stores.
-    Returns the manifest dict.
+    Each ``.npy`` is written as its recording arrives and the manifest last,
+    so a failed run leaves no manifest; an empty input raises before the
+    directory is made.  The manifest carries only input-derived fields
+    (``created`` stays null unless supplied), so identical inputs produce
+    byte-identical stores.  Returns the manifest dict.
     """
-    if not recordings:
-        raise ValueError("no recordings to save")
     dirpath = Path(dirpath)
-    dirpath.mkdir(parents=True, exist_ok=True)
     entries = []
     for i, ts in enumerate(recordings):
+        if i == 0:
+            dirpath.mkdir(parents=True, exist_ok=True)
+            (dirpath / "manifest.json").unlink(missing_ok=True)
         key = f"rec_{i:05d}"
         np.save(dirpath / f"{key}.npy", np.asarray(ts.samples, dtype=np.float64))
         entries.append(
@@ -239,6 +256,8 @@ def save_recordings(
                 "n_samples": int(len(ts)),
             }
         )
+    if not entries:
+        raise ValueError("no recordings to save")
     manifest = {
         "format": STORE_FORMAT,
         "created": created,
@@ -249,14 +268,15 @@ def save_recordings(
     return manifest
 
 
-def load_recordings(dirpath) -> list[TimeSeries]:
-    """Read a directory store written by :func:`save_recordings`.
+def load_recordings(dirpath) -> Iterator[TimeSeries]:
+    """Read a directory store written by :func:`save_recordings`, one recording at a time.
 
     ``recordings`` must be a non-empty list of entries, each with a bare
-    file name ``key``, a string or null ``label``, a number
-    ``sample_rate_hz`` and an int ``n_samples``, and each ``.npy`` a 1-D
-    float64 array of its ``n_samples``; anything else raises ``ValueError``
-    naming the entry.
+    file name ``key``, a string or null ``label``, a ``sample_rate_hz`` in
+    (0, inf) and an int ``n_samples`` >= 1.  Every entry is checked before
+    this returns; the iterator then reads each ``.npy`` when its recording
+    is reached, which must be a finite 1-D float64 array of its
+    ``n_samples``.  Anything else raises ``ValueError`` naming the entry.
     """
     dirpath = Path(dirpath)
     manifest_path = dirpath / "manifest.json"
@@ -266,7 +286,7 @@ def load_recordings(dirpath) -> list[TimeSeries]:
     entries = manifest.get("recordings")
     if not (isinstance(entries, list) and entries):
         raise ValueError(f"{manifest_path}: 'recordings' must be a non-empty list, got {entries!r}")
-    out = []
+    checked = []
     for i, entry in enumerate(entries):
         key = entry.get("key") if isinstance(entry, dict) else None
         where = f"{manifest_path} recordings[{i}] (key {key!r})"
@@ -276,6 +296,18 @@ def load_recordings(dirpath) -> list[TimeSeries]:
                 and type(entry.get("n_samples")) is int):
             raise ValueError(f"{where} needs a bare file name 'key', a string or null 'label', "
                              f"a number 'sample_rate_hz' and an int 'n_samples', got {entry!r}")
+        if not 0 < entry["sample_rate_hz"] < math.inf:
+            raise ValueError(f"{where}: sample_rate_hz must lie in (0, inf), "
+                             f"got {entry['sample_rate_hz']}")
+        if entry["n_samples"] < 1:
+            raise ValueError(f"{where}: n_samples must be >= 1, got {entry['n_samples']}")
+        checked.append((where, key, entry))
+    return _read_recordings(dirpath, checked)
+
+
+def _read_recordings(dirpath: Path, checked: list) -> Iterator[TimeSeries]:
+    """Each checked entry's ``.npy`` as a ``TimeSeries``, read when it is reached."""
+    for where, key, entry in checked:
         samples = _load_npy(dirpath / f"{key}.npy", f"recording {key!r}")
         expected = (entry["n_samples"],)
         if samples.dtype != np.float64 or samples.shape != expected:
@@ -284,10 +316,10 @@ def load_recordings(dirpath) -> list[TimeSeries]:
                 f"got {samples.dtype} of shape {samples.shape}"
             )
         try:
-            out.append(TimeSeries(samples, entry["sample_rate_hz"], entry["label"]))
+            ts = TimeSeries(samples, entry["sample_rate_hz"], entry["label"])
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-    return out
+        yield ts
 
 
 def save_features(dirpath, dataset: DatasetSplits) -> None:
@@ -399,15 +431,10 @@ def split_counts(n: int, cfg: SplitConfig) -> tuple[int, int, int]:
     return counts[0], counts[1], counts[2]
 
 
-def class_labels_for(recordings) -> tuple[str, ...]:
-    """Distinct labels, in canonical order when they all belong to it."""
-    present = []
-    for ts in recordings:
-        if ts.label is None:
-            raise ValueError("all recordings need a label to build a dataset")
-        if ts.label not in present:
-            present.append(ts.label)
-    if all(name in _CLASS_BY_NAME for name in present):
+def class_labels_for(labels) -> tuple[str, ...]:
+    """The distinct ``labels``, in canonical order when they all belong to it."""
+    present = set(labels)
+    if present <= _CLASS_BY_NAME.keys():
         return tuple(name for name in CLASS_ORDER if name in present)
     return tuple(sorted(present))
 
@@ -462,24 +489,27 @@ def build_dataset(
 ) -> DatasetSplits:
     """Decompose, featurize, segment, split, and standardize recordings.
 
-    Within each class, segments stay in time order (recording-major) and are
-    split contiguously: earliest to train, then validation, latest to test.
-    The standardizer is fitted on training tokens only and applied to all
-    three splits.
+    ``recordings`` is any iterable, read in one pass; only each recording's
+    tokens are kept, and the class labels are those the pass saw.  Within
+    each class, segments stay in time order (recording-major) and are split
+    contiguously: earliest to train, then validation, latest to test.  The
+    standardizer is fitted on training tokens only and applied to all three
+    splits.
     """
     window = window or WindowSpec()
     ma = ma or MaConfig()
     split = split or SplitConfig()
-    labels = class_labels_for(recordings)
 
-    per_class_segments: dict[str, list[np.ndarray]] = {name: [] for name in labels}
+    per_class_segments: dict[str, list[np.ndarray]] = {}
     recording_entries = []
     for ts in recordings:
+        if ts.label is None:
+            raise ValueError("all recordings need a label to build a dataset")
         period = estimate_period(ts, period_hint_hz)
         decomp = decompose_additive(ts, period)
         seq = featurize(decomp, window, ma=ma, label=ts.label)
         segments = segment_tokens(seq.tokens, split.segment_len)
-        per_class_segments[ts.label].extend(segments)
+        per_class_segments.setdefault(ts.label, []).extend(segments)
         recording_entries.append(
             {
                 "label": ts.label,
@@ -490,6 +520,7 @@ def build_dataset(
             }
         )
 
+    labels = class_labels_for(per_class_segments)
     per_split: dict[str, list[np.ndarray]] = {which: [] for which in SPLITS}
     split_table = {}
     for name in labels:

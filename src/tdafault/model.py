@@ -55,6 +55,8 @@ class ModelConfig:
             raise ValueError("heads and layers must be >= 1")
         for name in ("d_model", "d_k", "d_v"):
             val = getattr(self, name)
+            if val < 1:
+                raise ValueError(f"{name} must be >= 1, got {val}")
             if val % self.heads != 0:
                 raise ValueError(f"{name}={val} not divisible by heads={self.heads}")
         if self.n_classes < 2:

@@ -1,10 +1,12 @@
 """Command-line verbs: artifacts, exit codes, config handling, determinism."""
 
+import itertools
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 
 import tdafault
 from tdafault.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from tdafault.data import CLASS_ORDER, SynthConfig
+from tdafault.data import CLASS_ORDER, SynthConfig, gen_synthetic, save_recordings
 from tdafault.matio import write_mat
 
 HINT = repr(SynthConfig(sample_rate_hz=2048.0).shaft_hz)
@@ -126,6 +128,50 @@ class TestDeterminism:
         manifest = json.loads((store / "manifest.json").read_text())
         assert isinstance(manifest["created"], str)
         assert manifest["created"].startswith("20")
+
+
+class TestStoreVerbsStream:
+    """``synth``, ``decompose`` and ``featurize`` hold one recording at a time."""
+
+    FS, DURATION = 48000.0, 1.0
+    RECORDING_BYTES = int(FS * DURATION) * 8
+
+    @staticmethod
+    def traced_peak(argv) -> int:
+        """Peak bytes traced by tracemalloc while the verb runs in-process."""
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def stores(self, tmp_path_factory):
+        """Stores of 4 and 16 recordings (48 kHz x 1 s), keyed by size."""
+        root = tmp_path_factory.mktemp("stream")
+        cfg = SynthConfig(sample_rate_hz=self.FS, duration_s=self.DURATION,
+                          recordings_per_class=2, seed=3)
+        for n in (4, 16):
+            save_recordings(root / f"store{n}", itertools.islice(gen_synthetic(cfg), n))
+        return {n: root / f"store{n}" for n in (4, 16)}
+
+    @pytest.mark.parametrize("verb", ["synth", "decompose", "featurize"])
+    def test_peak_memory_does_not_grow_with_the_store(self, stores, tmp_path, capsys, verb):
+        hint = repr(SynthConfig(sample_rate_hz=self.FS).shaft_hz)
+
+        def argv(n, out):
+            if verb == "synth":  # ten classes per recording index: 10 and 40 recordings
+                return ["synth", "--out", str(out), "--fs", repr(self.FS),
+                        "--duration", repr(self.DURATION), "--recordings", str(n // 4)]
+            extra = (["--period-hint-hz", hint] if verb == "decompose" else
+                     ["--period-hint-hz", hint, "--window-len", "2048", "--stride", "1024"])
+            return [verb, "--store", str(stores[n]), "--out", str(out), *extra]
+
+        self.traced_peak(argv(4, tmp_path / "warm-up"))  # imports and caches
+        small = self.traced_peak(argv(4, tmp_path / "small"))
+        large = self.traced_peak(argv(16, tmp_path / "large"))
+        assert abs(large - small) < 2 * self.RECORDING_BYTES, (small, large)
 
 
 class TestIngest:
@@ -507,6 +553,62 @@ class TestExitCodes:
                      "--epochs", "2", "--patience", "2"])
         assert code == EXIT_NUMERIC
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, config, key", [
+        (["--fs", "inf"], None, "sample_rate_hz"),
+        (["--fs", "1e300", "--duration", "1e300"], None, "duration_s"),
+        ([], {"synth": {"shaft_rpm": 0}}, "shaft_rpm"),
+        (["--noise-sigma", "nan"], None, "noise_sigma"),
+        (["--fs", "nan"], None, "sample_rate_hz"),
+    ], ids=["infinite-fs", "overflowing-length", "zero-rpm", "nan-noise", "nan-fs"])
+    def test_out_of_range_synth_setting_is_data_error(self, tmp_path, capsys, flags, config,
+                                                      key):
+        argv = ["synth", "--out", str(tmp_path / "store"), *flags]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("tdafault: ") and err.count("\n") == 1, err
+        assert key in err
+        assert not (tmp_path / "store").exists()
+
+    @pytest.mark.parametrize("flags, config, key", [
+        (["--d-model", "0"], None, "d_model"),
+        ([], {"model": {"d_k": 0}}, "d_k"),
+        ([], {"model": {"d_v": 0}}, "d_v"),
+        (["--lr", "nan"], None, "learning_rate"),
+        (["--lr", "inf"], None, "learning_rate"),
+        ([], {"train": {"eps": float("nan")}}, "eps"),  # written as the JSON extension NaN
+    ], ids=["zero-d_model", "zero-d_k", "zero-d_v", "nan-lr", "infinite-lr", "nan-eps"])
+    def test_out_of_range_model_or_train_setting_is_data_error(self, chain, tmp_path, capsys,
+                                                               monkeypatch, flags, config, key):
+        monkeypatch.setattr("tdafault.cli.fit", lambda *a, **k: pytest.fail("training started"))
+        argv = ["train", "--features", str(chain["feats"]), "--out", str(tmp_path / "m"), *flags]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("tdafault: ") and err.count("\n") == 1, err
+        assert key in err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("verb", ["featurize", "decompose"])
+    def test_bad_recording_mid_store_leaves_no_manifest(self, chain, tmp_path, capsys, verb):
+        # the store verbs stream, so a bad second recording is found after the
+        # first one's outputs may be written; the manifest never is
+        store = tmp_path / "store"
+        shutil.copytree(chain["store"], store)
+        path = store / "rec_00001.npy"
+        path.write_bytes(path.read_bytes()[:-8])
+        out = tmp_path / "o"
+        assert main([verb, "--store", str(store), "--out", str(out),
+                     "--period-hint-hz", HINT]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("tdafault: ") and err.count("\n") == 1, err
+        assert "rec_00001" in err
+        assert not (out / "manifest.json").exists()
 
 
 class TestConfigFile:

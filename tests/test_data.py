@@ -171,7 +171,7 @@ class TestStore:
         manifest = save_recordings(tmp_path / "store", recordings)
         assert manifest["format"] == STORE_FORMAT
         assert manifest["created"] is None
-        loaded = load_recordings(tmp_path / "store")
+        loaded = list(load_recordings(tmp_path / "store"))
         assert len(loaded) == 2
         for orig, back in zip(recordings, loaded):
             np.testing.assert_array_equal(orig.samples, back.samples)
@@ -201,7 +201,7 @@ class TestStore:
         save_recordings(tmp_path / "s", recordings)
         np.save(tmp_path / "s" / "rec_00001.npy", recordings[1].samples[:-1])
         with pytest.raises(ValueError, match="rec_00001"):
-            load_recordings(tmp_path / "s")
+            list(load_recordings(tmp_path / "s"))
 
     @pytest.mark.parametrize("keep", [0, 40, -8])
     def test_cut_short_file_rejected(self, tmp_path, recordings, keep):
@@ -209,7 +209,7 @@ class TestStore:
         path = tmp_path / "s" / "rec_00000.npy"
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(ValueError, match="rec_00000"):
-            load_recordings(tmp_path / "s")
+            list(load_recordings(tmp_path / "s"))
 
     @pytest.mark.parametrize(
         "samples", [np.zeros((256, 2)), np.zeros(512, dtype=np.float32)], ids=["2d", "float32"]
@@ -218,11 +218,48 @@ class TestStore:
         save_recordings(tmp_path / "s", recordings)
         np.save(tmp_path / "s" / "rec_00000.npy", samples)
         with pytest.raises(ValueError, match="rec_00000"):
-            load_recordings(tmp_path / "s")
+            list(load_recordings(tmp_path / "s"))
+
+    def test_bad_recording_raises_when_it_is_reached(self, tmp_path, recordings):
+        save_recordings(tmp_path / "s", recordings)
+        np.save(tmp_path / "s" / "rec_00001.npy", np.full(len(recordings[1]), np.nan))
+        loaded = load_recordings(tmp_path / "s")  # every entry checked, no .npy read yet
+        np.testing.assert_array_equal(next(loaded).samples, recordings[0].samples)
+        with pytest.raises(ValueError, match=r"recordings\[1\] \(key 'rec_00001'\).*NaN"):
+            next(loaded)
 
     def test_empty_save_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save_recordings(tmp_path / "s", [])
+
+    def test_empty_generator_save_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="no recordings to save"):
+            save_recordings(tmp_path / "s", (ts for ts in []))
+        assert not (tmp_path / "s").exists()
+
+    def test_failed_save_leaves_no_manifest(self, tmp_path, recordings):
+        # an earlier store's manifest no longer describes files the failed run overwrote
+        save_recordings(tmp_path / "s", recordings)
+
+        def failing():
+            yield recordings[1]
+            raise ValueError("bad second recording")
+
+        with pytest.raises(ValueError, match="bad second recording"):
+            save_recordings(tmp_path / "s", failing())
+        assert not (tmp_path / "s" / "manifest.json").exists()
+
+    def test_generator_round_trip(self, tmp_path):
+        cfg = SynthConfig(sample_rate_hz=1024.0, duration_s=0.25, recordings_per_class=1)
+        generated = gen_synthetic(cfg)
+        assert iter(generated) is generated  # streamed, not a list
+        manifest = save_recordings(tmp_path / "s", generated)
+        assert len(manifest["recordings"]) == len(CLASS_ORDER)
+        loaded = load_recordings(tmp_path / "s")
+        assert iter(loaded) is loaded
+        for orig, back in zip(gen_synthetic(cfg), loaded, strict=True):
+            np.testing.assert_array_equal(orig.samples, back.samples)
+            assert (back.label, back.sample_rate_hz) == (orig.label, orig.sample_rate_hz)
 
     @pytest.mark.parametrize("value", [5, [], None, {"key": "rec_00000"}],
                              ids=["int", "empty-list", "null", "object"])
@@ -347,16 +384,17 @@ class TestSplitMechanics:
         cfg = SynthConfig(sample_rate_hz=1024.0, duration_s=0.1)
         recs = [gen_recording(fault_named(n), cfg, 0)
                 for n in ("Normal_1", "IR_007_1", "Ball_021_1")]
-        assert class_labels_for(recs) == ("IR_007_1", "Ball_021_1", "Normal_1")
+        labels = (ts.label for ts in recs)
+        assert class_labels_for(labels) == ("IR_007_1", "Ball_021_1", "Normal_1")
 
     def test_class_labels_unknown_names_sorted(self):
         class Stub:
             def __init__(self, label):
                 self.label = label
 
-        assert class_labels_for([Stub("zeta"), Stub("alpha")]) == ("alpha", "zeta")
-        with pytest.raises(ValueError):
-            class_labels_for([Stub(None)])
+        assert class_labels_for(["zeta", "alpha"]) == ("alpha", "zeta")
+        with pytest.raises(ValueError, match="need a label"):
+            build_dataset([Stub(None)])
 
 
 DATASET_NAMES = ("IR_007_1", "OR_007_6_1", "Normal_1")
