@@ -5,6 +5,11 @@ trend, per-phase means of the detrended series give a zero-mean periodic
 seasonal component, and everything left over is the residual.  Fault
 signatures that are not phase-locked to the period survive in the residual,
 which is what the downstream feature extraction consumes.
+
+The seasonal component is exactly periodic, so a :class:`Decomposition`
+keeps one period of it.  :func:`decompose_additive` forms the residual once
+and works in place: the phase means are the column sums of whole periods,
+and the pattern is subtracted from the residual period by period.
 """
 
 from __future__ import annotations
@@ -46,16 +51,46 @@ class Decomposition:
     """Aligned trend/seasonal/residual components of one series.
 
     ``trend + seasonal + residual`` reconstructs the input everywhere (the
-    residual is defined as the remainder).  ``valid_range`` is the half-open
-    index interval where the trend estimate has a full averaging window;
-    outside it the trend is edge-replicated.
+    residual is defined as the remainder).  The seasonal component is exactly
+    ``period``-periodic, so only one period of it is kept, as ``pattern``;
+    ``seasonal`` builds the full-length component from it on each access.
+    ``valid_range`` is the half-open index interval where the trend estimate
+    has a full averaging window; outside it the trend is edge-replicated.
     """
 
     trend: np.ndarray
-    seasonal: np.ndarray
+    pattern: np.ndarray
     residual: np.ndarray
     period: int
     valid_range: tuple[int, int]
+
+    def __post_init__(self) -> None:
+        trend, residual = self.trend, self.residual
+        for name, part in (("trend", trend), ("residual", residual)):
+            if not isinstance(part, np.ndarray) or part.ndim != 1:
+                raise ValueError(f"{name} must be a 1-D numpy array, got "
+                                 f"{type(part).__name__} of shape {np.shape(part)}")
+        n = trend.size
+        if residual.size != n:
+            raise ValueError(f"residual has {residual.size} samples, trend has {n}")
+        period = self.period
+        if not isinstance(period, (int, np.integer)) or isinstance(period, bool) or period < 2:
+            raise ValueError(f"period must be an int >= 2, got {period!r}")
+        if n < 2 * period:
+            raise ValueError(f"period {period} needs at least {2 * period} samples, got {n}")
+        if not isinstance(self.pattern, np.ndarray) or self.pattern.shape != (period,):
+            raise ValueError(f"pattern must be a numpy array of shape ({period},), got "
+                             f"{type(self.pattern).__name__} of shape {np.shape(self.pattern)}")
+        start, stop = self.valid_range
+        if not 0 <= start <= stop <= n:
+            raise ValueError(f"valid_range must satisfy 0 <= start <= stop <= {n}, "
+                             f"got {self.valid_range}")
+
+    @property
+    def seasonal(self) -> np.ndarray:
+        """The seasonal component, ``pattern`` repeated to the series length (a new array)."""
+        n = self.trend.size
+        return np.tile(self.pattern, -(-n // self.period))[:n]
 
     def reconstruct(self) -> np.ndarray:
         return self.trend + self.seasonal + self.residual
@@ -89,7 +124,7 @@ def _fast_len(n: int) -> int:
 
 
 def _overlap_add(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """``np.convolve(x, kernel, mode="valid")`` by FFT overlap-add.
+    """``np.convolve(x, kernel)`` (the full convolution) by FFT overlap-add.
 
     Each block of ``x`` is convolved in one zero-padded FFT and added into
     the full convolution, so memory stays O(n) whatever the kernel length.
@@ -103,7 +138,7 @@ def _overlap_add(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         block = x[lo:lo + step]
         span = block.size + taps - 1
         full[lo:lo + span] += np.fft.irfft(np.fft.rfft(block, nfft) * response, nfft)[:span]
-    return full[taps - 1:x.size]
+    return full
 
 
 def _centered_trend(x: np.ndarray, period: int) -> tuple[np.ndarray, int]:
@@ -113,7 +148,9 @@ def _centered_trend(x: np.ndarray, period: int) -> tuple[np.ndarray, int]:
     endpoints) so the window stays centered; both variants weight every
     phase of the cycle equally.  Kernels longer than ``_DIRECT_MAX_TAPS``
     are applied by overlap-add FFT convolution, which agrees with the direct
-    sum to within about 1e-15 of max|x|.
+    sum to within about 1e-15 of max|x|.  The trend is a view of the full
+    convolution, whose ``half`` samples past each end are overwritten by
+    edge replication, so the valid part is not copied.
     """
     if period % 2 == 0:
         kernel = np.full(period + 1, 1.0 / period)
@@ -123,13 +160,13 @@ def _centered_trend(x: np.ndarray, period: int) -> tuple[np.ndarray, int]:
         kernel = np.full(period, 1.0 / period)
         half = (period - 1) // 2
     if kernel.size <= _DIRECT_MAX_TAPS:
-        trend_core = np.convolve(x, kernel, mode="valid")
+        full = np.convolve(x, kernel)
     else:
-        trend_core = _overlap_add(x, kernel)
-    trend = np.empty_like(x)
-    trend[half:x.size - half] = trend_core
-    trend[:half] = trend_core[0]
-    trend[x.size - half:] = trend_core[-1]
+        full = _overlap_add(x, kernel)
+    n = x.size
+    trend = full[half:half + n]
+    trend[:half] = trend[half]
+    trend[n - half:] = trend[n - half - 1]
     return trend, half
 
 
@@ -146,10 +183,12 @@ def decompose_additive(x: TimeSeries, period: int) -> Decomposition:
     Returns
     -------
     Decomposition
-        Components of the same length as the input.  The seasonal component
-        is exactly P-periodic and sums to ~0 over one period; the residual
-        closes the additive identity everywhere, including the
-        edge-replicated trend region.
+        Trend and residual of the same length as the input, and one period
+        of the seasonal component.  The seasonal component is exactly
+        P-periodic and sums to ~0 over one period; the residual closes the
+        additive identity everywhere, including the edge-replicated trend
+        region.  Besides these outputs the call holds one zero-padded copy
+        of the valid residual, whole periods long.
     """
     if period < 2:
         raise ValueError(f"period must be >= 2, got {period}")
@@ -160,17 +199,25 @@ def decompose_additive(x: TimeSeries, period: int) -> Decomposition:
 
     trend, half = _centered_trend(samples, period)
     start, stop = half, n - half
+    residual = samples - trend
 
-    detrended = samples - trend
-    phases = np.tile(np.arange(period), -(-stop // period))[start:stop]
-    # bincount adds the weights in index order, as np.add.at would.
-    phase_means = np.bincount(phases, weights=detrended[start:stop], minlength=period)
-    phase_means /= np.bincount(phases, minlength=period)
-    phase_means -= phase_means.mean()
+    # Phase p sums the valid samples t = p (mod P) in index order, as a
+    # bincount over tiled phases would: the column sums of whole periods,
+    # zero outside [start, stop).
+    rows = -(-stop // period)
+    padded = np.zeros(rows * period)
+    padded[start:stop] = residual[start:stop]
+    pattern = padded.reshape(rows, period).sum(axis=0)
+    del padded
+    phase = np.arange(period)
+    pattern /= (stop - 1 - phase) // period - (start - 1 - phase) // period
+    pattern -= pattern.mean()
 
-    seasonal = np.tile(phase_means, -(-n // period))[:n]
-    residual = detrended - seasonal
-    return Decomposition(trend, seasonal, residual, period, (start, stop))
+    whole = n - n % period
+    body = residual[:whole].reshape(-1, period)
+    body -= pattern
+    residual[whole:] -= pattern[:n - whole]
+    return Decomposition(trend, pattern, residual, period, (start, stop))
 
 
 def estimate_period(x: TimeSeries, hint_hz: float | None = None) -> int:

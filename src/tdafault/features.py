@@ -9,7 +9,9 @@ the sequences the classifier consumes.
 The two Hull-EMA features are dot products of each window with two weight
 vectors that depend only on the window length and the :class:`MaConfig`
 (the HEMA is linear), built once from two :func:`~tdafault.movavg.hema`
-calls on an impulse; no window is filtered.
+calls on an impulse; no window is filtered.  The seasonal component repeats
+with the decomposition's period, so its two features are computed once per
+distinct window offset within one period.
 
 Moment conventions are population central moments; degenerate (constant)
 windows yield 0 rather than NaN for the moment ratios and the
@@ -43,9 +45,9 @@ DESK_WINDOW_LEN = 256
 DESK_WINDOW_STRIDE = 128
 
 _VAR_FLOOR = 1e-24
-# Samples per window matrix in one featurize pass (1 MiB of float64): 64
-# windows of 2048 samples, or a whole desk recording of 256-sample windows.
-BLOCK_SAMPLES = 1 << 17
+# Samples per window matrix in one featurize pass (256 KiB of float64): 16
+# windows of 2048 samples, or 128 desk windows of 256 samples.
+BLOCK_SAMPLES = 1 << 15
 
 FEATURE_NAMES = (
     "res_hema_last",
@@ -217,12 +219,12 @@ def _hema_weights(length: int, ma: MaConfig) -> tuple[np.ndarray, np.ndarray]:
     return last, mean
 
 
-def _window_tokens(res: np.ndarray, tr: np.ndarray, se: np.ndarray, ma: MaConfig,
-                   out: np.ndarray) -> None:
-    """Write the tokens of a block of windows (the rows of each component) into ``out``.
+def _window_tokens(res: np.ndarray, tr: np.ndarray, ma: MaConfig, out: np.ndarray) -> None:
+    """Write the residual and trend features of a block of windows into ``out``.
 
-    Every feature is computed row by row, so a window's token does not
-    depend on which other windows share its block.
+    ``res`` and ``tr`` hold one window per row.  Every feature is computed
+    row by row, so a window's token does not depend on which other windows
+    share its block.
     """
     length = res.shape[1]
     for column, weights in enumerate(_hema_weights(length, ma)):
@@ -236,14 +238,17 @@ def _window_tokens(res: np.ndarray, tr: np.ndarray, se: np.ndarray, ma: MaConfig
     centred = tr - out[:, 5:6]
     out[:, 6] = _row_dot(centred, np.broadcast_to(t, centred.shape)) / (t @ t)
 
-    out[:, 7] = _rms_rows(se)
+
+def _season_features(se: np.ndarray, out: np.ndarray) -> None:
+    """Write the seasonal RMS and lag-1 autocorrelation of each row of ``se`` into ``out``."""
+    out[:, 0] = _rms_rows(se)
     centred = se - se.mean(axis=1, keepdims=True)
     energy = _row_dot(centred, centred)
     lag1 = _row_dot(centred[:, :-1], centred[:, 1:])
     del centred
     flat = energy < _VAR_FLOOR
     energy[flat] = 1.0
-    out[:, 8] = np.where(flat, 0.0, lag1 / energy)
+    out[:, 1] = np.where(flat, 0.0, lag1 / energy)
 
 
 def featurize(decomp, spec: WindowSpec, ma: MaConfig | None = None, label: str | None = None) -> TokenSequence:
@@ -256,12 +261,16 @@ def featurize(decomp, spec: WindowSpec, ma: MaConfig | None = None, label: str |
     ``ValueError`` for non-finite tokens.  Windows are processed
     in blocks of ``BLOCK_SAMPLES // spec.length`` (at least one), as the rows
     of one window matrix per component, so memory stays bounded however long
-    the recording is.
+    the recording is.  Window ``i``'s seasonal samples are the decomposition's
+    one-period ``pattern`` read from offset ``i * stride % period`` on, so the
+    two seasonal features are computed once per distinct offset, over the
+    pattern repeated to at least ``period + length - 1`` samples, and copied
+    to every window with that offset.
 
     Parameters
     ----------
     decomp : Decomposition
-        Aligned trend/seasonal/residual components.
+        Aligned trend/residual components and one period of the seasonal one.
     spec : WindowSpec
         Window length and stride.
     ma : MaConfig, optional
@@ -272,18 +281,27 @@ def featurize(decomp, spec: WindowSpec, ma: MaConfig | None = None, label: str |
     if ma is None:
         ma = MaConfig()
     count = spec.count(decomp.residual.size)
-    # (count, length) views of the three components; nothing is copied here.
-    res, tr, se = (
+    # (count, length) views of the residual and trend; nothing is copied here.
+    res, tr = (
         sliding_window_view(part, spec.length)[::spec.stride]
-        for part in (decomp.residual, decomp.trend, decomp.seasonal)
+        for part in (decomp.residual, decomp.trend)
     )
+    offsets, at_offset = np.unique(np.arange(count) * spec.stride % decomp.period,
+                                   return_inverse=True)
+    # Whole periods, at least period + length - 1 samples: room for every offset's window.
+    cycle = np.tile(decomp.pattern, -(-(decomp.period + spec.length - 1) // decomp.period))
+    se = sliding_window_view(cycle, spec.length)
     tokens = np.empty((count, len(FEATURE_NAMES)))
+    season = np.empty((offsets.size, 2))
     block = max(1, BLOCK_SAMPLES // spec.length)
     # Overflow shows up as a non-finite token, reported by the check below.
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, count, block):
             rows = slice(lo, lo + block)
-            _window_tokens(res[rows], tr[rows], se[rows], ma, tokens[rows])
+            _window_tokens(res[rows], tr[rows], ma, tokens[rows])
+        for lo in range(0, offsets.size, block):
+            _season_features(se[offsets[lo:lo + block]], season[lo:lo + block])
+    tokens[:, 7:] = season[at_offset]
     if not np.all(np.isfinite(tokens)):
         raise ValueError("featurization produced non-finite values")
     return TokenSequence(tokens=tokens, label=label)

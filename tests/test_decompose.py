@@ -1,12 +1,14 @@
 """Additive decomposition: exactness, seasonal capture, period estimation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdafault import decompose as decompose_module
-from tdafault.data import SynthConfig, gen_synthetic
+from tdafault.data import FAULT_CLASSES, SynthConfig, gen_recording, gen_synthetic
 from tdafault.decompose import (
     _DIRECT_MAX_TAPS,
     Decomposition,
@@ -259,6 +261,161 @@ class TestTrendFilterPaths:
         assert np.abs(past.trend - trend).max() <= 1e-12 * np.abs(x).max()
         assert np.abs(past.reconstruct() - x).max() <= 1e-12
         assert overlap_add_calls == [_DIRECT_MAX_TAPS + 2]
+
+
+def tiled_decompose(x, period):
+    """The n-long formulas: a copied valid trend, a weighted ``bincount`` over
+    tiled phases, the seasonal part as the tiled phase means, and the
+    residual as ``detrended - seasonal``."""
+    n = x.size
+    if period % 2 == 0:
+        kernel = np.full(period + 1, 1.0 / period)
+        kernel[0] = kernel[-1] = 0.5 / period
+        half = period // 2
+    else:
+        kernel = np.full(period, 1.0 / period)
+        half = (period - 1) // 2
+    if kernel.size <= _DIRECT_MAX_TAPS:
+        core = np.convolve(x, kernel, mode="valid")
+    else:
+        core = decompose_module._overlap_add(x, kernel)[kernel.size - 1:n]
+    trend = np.empty_like(x)
+    trend[half:n - half] = core
+    trend[:half] = core[0]
+    trend[n - half:] = core[-1]
+    start, stop = half, n - half
+    detrended = x - trend
+    phases = np.tile(np.arange(period), -(-stop // period))[start:stop]
+    phase_means = np.bincount(phases, weights=detrended[start:stop], minlength=period)
+    phase_means /= np.bincount(phases, minlength=period)
+    phase_means -= phase_means.mean()
+    seasonal = np.tile(phase_means, -(-n // period))[:n]
+    return trend, seasonal, detrended - seasonal
+
+
+def assert_same_bits(a, b):
+    """Equal shapes and equal bit patterns (``-0.0`` differs from ``0.0``)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def assert_matches_tiled_formulas(x, period):
+    d = decompose_additive(make_series(x), period)
+    trend, seasonal, residual = tiled_decompose(x, period)
+    assert d.pattern.shape == (period,)
+    assert_same_bits(d.pattern, seasonal[:period])
+    for got, want in ((d.trend, trend), (d.seasonal, seasonal), (d.residual, residual)):
+        assert_same_bits(got, want)
+
+
+@pytest.fixture(scope="module")
+def recordings():
+    """A desk (4096 Hz, 8 s) and a 48 kHz (2 s) recording of one faulty class."""
+    return {
+        fs: gen_recording(FAULT_CLASSES[4], SynthConfig(sample_rate_hz=fs, duration_s=dur, seed=3), 0)
+        for fs, dur in ((4096.0, 8.0), (48000.0, 2.0))
+    }
+
+
+class TestOnePeriodPattern:
+    """The seasonal part is kept as one period, with the n-long formulas' bits."""
+
+    @pytest.mark.parametrize("fs", [4096.0, 48000.0])
+    @pytest.mark.parametrize("period", [2, 3, 139, 1625, 3310, "half"])
+    def test_matches_tiled_formulas_bitwise(self, recordings, fs, period):
+        x = recordings[fs].samples
+        assert_matches_tiled_formulas(x, x.size // 2 if period == "half" else period)
+
+    @given(st.integers(2, 300), st.integers(0, 700), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 1.0, 1e6]))
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_random_lengths_and_periods_match_bitwise(self, period, extra, seed, offset):
+        x = offset + np.random.default_rng(seed).normal(size=2 * period + extra)
+        assert_matches_tiled_formulas(x, period)
+
+    def test_signed_zeros_match_bitwise(self):
+        # Phases whose every value is a zero must keep the sign the
+        # bincount formulas give them.
+        for period in (2, 3, 5):
+            x = -np.zeros(20 * period)
+            x[::3] = 1.0
+            assert_matches_tiled_formulas(x, period)
+
+    def test_seasonal_is_a_fresh_repeat_of_the_pattern(self):
+        x = np.random.default_rng(4).normal(size=103)
+        d = decompose_additive(make_series(x), 10)
+        first = d.seasonal
+        assert first.shape == (103,)
+        assert_same_bits(first, np.tile(d.pattern, 11)[:103])
+        first[:] = 0.0
+        assert d.seasonal is not first
+        assert_same_bits(d.seasonal, np.tile(d.pattern, 11)[:103])
+        with pytest.raises(AttributeError):
+            d.seasonal = first
+
+    @pytest.mark.parametrize("period", [139, 1625])
+    def test_peak_memory_is_the_outputs_and_one_padded_buffer(self, recordings, period):
+        # 48 kHz x 2 s: each recording-sized array is 768 kB.  Both trend
+        # filter paths are covered (direct up to 255 taps, overlap-add past).
+        ts = recordings[48000.0]
+        decompose_additive(ts, period)  # first-call set-up
+        tracemalloc.start()
+        try:
+            d = decompose_additive(ts, period)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = len(ts)
+        outputs = d.trend.nbytes + d.residual.nbytes + d.pattern.nbytes
+        padded = -(-(n - period // 2) // period) * period * 8
+        assert peak <= outputs + padded + 64 * 1024, (peak, outputs, padded)
+
+
+class TestDecompositionChecks:
+    """A ``Decomposition`` rejects inconsistent parts, naming the field."""
+
+    N, PERIOD = 40, 4
+
+    def parts(self, **changes):
+        n, period = self.N, self.PERIOD
+        fields = dict(trend=np.zeros(n), pattern=np.zeros(period), residual=np.zeros(n),
+                      period=period, valid_range=(2, n - 2))
+        fields.update(changes)
+        return fields
+
+    def test_consistent_parts_are_accepted(self):
+        d = Decomposition(**self.parts())
+        assert d.seasonal.shape == (self.N,)
+
+    @pytest.mark.parametrize("field", ["trend", "residual"])
+    @pytest.mark.parametrize("value", [np.zeros((2, 20)), np.float64(0.0), [0.0] * 40])
+    def test_trend_and_residual_are_1d_arrays(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Decomposition(**self.parts(**{field: value}))
+
+    def test_trend_and_residual_have_one_length(self):
+        with pytest.raises(ValueError, match="residual"):
+            Decomposition(**self.parts(residual=np.zeros(self.N + 1)))
+
+    @pytest.mark.parametrize("period", [1, 0, -4, 4.0, True, "4"])
+    def test_period_is_an_int_of_at_least_two(self, period):
+        with pytest.raises(ValueError, match="period"):
+            Decomposition(**self.parts(period=period))
+
+    def test_series_holds_two_periods(self):
+        with pytest.raises(ValueError, match="period"):
+            Decomposition(**self.parts(period=21, pattern=np.zeros(21)))
+
+    @pytest.mark.parametrize("pattern", [np.zeros(3), np.zeros(40), np.zeros((1, 4)), [0.0] * 4])
+    def test_pattern_is_one_period(self, pattern):
+        with pytest.raises(ValueError, match="pattern"):
+            Decomposition(**self.parts(pattern=pattern))
+
+    @pytest.mark.parametrize("valid_range", [(-1, 10), (10, 9), (0, 41)])
+    def test_valid_range_lies_in_the_series(self, valid_range):
+        with pytest.raises(ValueError, match="valid_range"):
+            Decomposition(**self.parts(valid_range=valid_range))
 
 
 class TestEstimatePeriod:

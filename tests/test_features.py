@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from tdafault import features as features_module
 from tdafault.data import FAULT_CLASSES, SynthConfig, gen_recording, gen_synthetic
@@ -169,11 +170,10 @@ class TestFeaturize:
         n = decomp.trend.size
         expected_t = (n - length) // stride + 1
         assert seq.tokens.shape == (expected_t, 9)
+        seasonal = decomp.seasonal
         for w in range(expected_t):
             sl = slice(w * stride, w * stride + length)
-            want = brute_token(
-                decomp.residual[sl], decomp.trend[sl], decomp.seasonal[sl], ma
-            )
+            want = brute_token(decomp.residual[sl], decomp.trend[sl], seasonal[sl], ma)
             np.testing.assert_allclose(seq.tokens[w], want, rtol=1e-12, atol=1e-12)
 
     def test_overflow_is_one_value_error_without_warnings(self):
@@ -197,11 +197,10 @@ class TestFeaturize:
             decomp = decompose_additive(ts, estimate_period(ts))
             seq = featurize(decomp, spec, ma=ma)
             assert seq.tokens.shape == (spec.count(len(ts)), 9)
+            seasonal = decomp.seasonal
             for w, token in enumerate(seq.tokens):
                 sl = slice(w * stride, w * stride + length)
-                want = brute_token(
-                    decomp.residual[sl], decomp.trend[sl], decomp.seasonal[sl], ma
-                )
+                want = brute_token(decomp.residual[sl], decomp.trend[sl], seasonal[sl], ma)
                 np.testing.assert_allclose(token, want, rtol=1e-12, atol=1e-12)
 
     def test_channel_map_partitions_features(self, decomp):
@@ -234,10 +233,13 @@ class TestFeaturize:
         ts = gen_recording(FAULT_CLASSES[4], cfg, 0)
         return decompose_additive(ts, estimate_period(ts, cfg.shaft_hz))
 
-    @pytest.mark.parametrize("block_samples", [features_module.BLOCK_SAMPLES, 64 * 256])
+    @pytest.mark.parametrize("block_samples",
+                             [features_module.BLOCK_SAMPLES, 1 << 17, 64 * 256, 1])
     def test_blocked_tokens_equal_unblocked(self, fullrate, monkeypatch, block_samples):
-        # At the default a desk recording is one block, so the smaller size
-        # splits the desk windows too (64 per block).
+        # A desk recording's 255 windows take two blocks at the default,
+        # one at 1 << 17 samples, four at 64 * 256, and at 1 sample every
+        # window is its own block; all must equal one block holding the
+        # whole recording.
         desk = SynthConfig(seed=3, recordings_per_class=1)
         cases = [(fullrate, WindowSpec(length=2048, stride=1024))] + [
             (decompose_additive(ts, estimate_period(ts, desk.shaft_hz)), WindowSpec())
@@ -262,9 +264,92 @@ class TestFeaturize:
             tracemalloc.stop()
         assert peak < 6 * 2 ** 20
 
+    def test_peak_memory_does_not_grow_with_the_recording(self):
+        # 48 kHz recordings of 1 s (45 windows) and 4 s (184 windows): past
+        # the extra tokens, a longer recording needs no more memory.
+        spec = WindowSpec(length=2048, stride=1024)
+        peaks = {}
+        for duration in (1.0, 4.0):
+            cfg = SynthConfig(sample_rate_hz=48000.0, duration_s=duration, seed=3)
+            ts = gen_recording(FAULT_CLASSES[4], cfg, 0)
+            d = decompose_additive(ts, estimate_period(ts, cfg.shaft_hz))
+            featurize(d, spec)  # caches the HEMA weights
+            tracemalloc.start()
+            try:
+                featurize(d, spec)
+                peaks[duration] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        extra_tokens = (spec.count(4 * 48000) - spec.count(48000)) * len(FEATURE_NAMES) * 8
+        assert peaks[4.0] - peaks[1.0] < extra_tokens + 64 * 1024, peaks
+
     def test_window_longer_than_series_errors(self, decomp):
         with pytest.raises(ValueError):
             featurize(decomp, WindowSpec(length=4096, stride=128))
+
+
+def tiled_season_features(seasonal, spec):
+    """The seasonal columns computed over every window of the n-long seasonal part."""
+    se = sliding_window_view(seasonal, spec.length)[::spec.stride]
+    row_dot = features_module._row_dot
+    out = np.empty((se.shape[0], 2))
+    out[:, 0] = np.sqrt(row_dot(se, se) / spec.length)
+    centred = se - se.mean(axis=1, keepdims=True)
+    energy = row_dot(centred, centred)
+    lag1 = row_dot(centred[:, :-1], centred[:, 1:])
+    flat = energy < 1e-24
+    energy[flat] = 1.0
+    out[:, 1] = np.where(flat, 0.0, lag1 / energy)
+    return out
+
+
+def assert_season_columns_match(decomp, spec):
+    seasonal = np.tile(decomp.pattern, -(-decomp.residual.size // decomp.period))
+    seasonal = seasonal[:decomp.residual.size]
+    got = featurize(decomp, spec).tokens[:, 7:]
+    want = tiled_season_features(seasonal, spec)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestSeasonalFeaturesPerOffset:
+    """Seasonal features computed once per phase offset keep every bit."""
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        """One desk recording (4096 Hz, 8 s, 32768 samples)."""
+        return gen_recording(FAULT_CLASSES[4], SynthConfig(seed=3), 0)
+
+    @pytest.mark.parametrize("period, length, stride", [
+        (64, 256, 128),     # P < stride, P | stride: one offset
+        (100, 256, 300),    # P < stride, P does not divide it
+        (128, 256, 128),    # P = stride: one offset
+        (139, 256, 128),    # P does not divide the stride: every offset of P
+        (16384, 2048, 1024),
+        (3, 8, 1),
+    ])
+    def test_matches_windows_of_the_tiled_seasonal_part(self, desk, period, length, stride):
+        assert_season_columns_match(decompose_additive(desk, period),
+                                    WindowSpec(length=length, stride=stride))
+
+    def test_every_offset_distinct(self):
+        # count * stride < P: no two windows share an offset.
+        x = np.random.default_rng(8).normal(size=1000)
+        decomp = decompose_additive(TimeSeries(x, 100.0), 500)
+        spec = WindowSpec(length=600, stride=90)
+        count = spec.count(x.size)
+        assert count * spec.stride < decomp.period
+        assert_season_columns_match(decomp, spec)
+
+    @given(st.integers(2, 200), st.integers(8, 1500), st.integers(8, 2000),
+           st.integers(1, 400), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_random_geometry(self, period, extra, length, stride, seed):
+        n = 2 * period + extra
+        length = min(length, n)
+        x = np.random.default_rng(seed).normal(size=n)
+        assert_season_columns_match(decompose_additive(TimeSeries(x, 100.0), period),
+                                    WindowSpec(length=length, stride=stride))
 
 
 class TestStandardizer:
