@@ -173,12 +173,15 @@ def _cmd_decompose(args) -> int:
     (outdir / "manifest.json").unlink(missing_ok=True)
     entries = []
     for i, ts in enumerate(recordings):
-        if args.period is not None:
-            period = args.period
-        else:
-            period = estimate_period(ts, args.period_hint_hz)
-        decomp = decompose_additive(ts, period)
         key = f"rec_{i:05d}"
+        try:
+            if args.period is not None:
+                period = args.period
+            else:
+                period = estimate_period(ts, args.period_hint_hz)
+            decomp = decompose_additive(ts, period)
+        except ValueError as exc:
+            raise ValueError(f"recording {key!r}: {exc}") from None
         for part in ("trend", "seasonal", "residual"):
             np.save(outdir / f"{key}.{part}.npy", getattr(decomp, part))
         entries.append(

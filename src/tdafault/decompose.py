@@ -4,7 +4,9 @@ The classical recipe: a centered moving average of one period estimates the
 trend, per-phase means of the detrended series give a zero-mean periodic
 seasonal component, and everything left over is the residual.  Fault
 signatures that are not phase-locked to the period survive in the residual,
-which is what the downstream feature extraction consumes.
+which is what the downstream feature extraction consumes.  Past a few
+samples per period the moving average is taken from running sums restarted
+at every period, so it costs O(n) whatever the period.
 
 The seasonal component is exactly periodic, so a :class:`Decomposition`
 keeps one period of it.  :func:`decompose_additive` forms the residual once
@@ -81,6 +83,9 @@ class Decomposition:
         if not isinstance(self.pattern, np.ndarray) or self.pattern.shape != (period,):
             raise ValueError(f"pattern must be a numpy array of shape ({period},), got "
                              f"{type(self.pattern).__name__} of shape {np.shape(self.pattern)}")
+        for name, part in (("trend", trend), ("pattern", self.pattern), ("residual", residual)):
+            if not np.isfinite(part).all():
+                raise ValueError(f"{name} contains NaN or Inf")
         start, stop = self.valid_range
         if not 0 <= start <= stop <= n:
             raise ValueError(f"valid_range must satisfy 0 <= start <= stop <= {n}, "
@@ -97,17 +102,15 @@ class Decomposition:
 
 
 # Longest kernel the trend filter convolves directly.  Direct convolution
-# costs O(n*P) and overlap-add O(n log P).  Measured against _overlap_add on
-# one core (median of 31): at 96k samples direct takes 2.9/4.2/4.2/5.1/5.4 ms
-# at 151/201/231/255/301 taps and overlap-add 4.7/4.2/4.4/2.7/3.5 ms; at 480k
-# samples 16.8/22.9/26.1/35.6/32.4 ms against 26.7/17.6/24.7/14.5/23.7 ms.
-# Direct leads at 151 taps, the two are level from 201 to 231 and overlap-add
-# leads from 255; at 3 taps it is several hundred times slower.  Kernels
-# always have an odd number of taps, so 255 is the last direct one.
-_DIRECT_MAX_TAPS = 255
-# Overlap-add FFT length in kernel lengths.  Against 4 and 16 it was as fast
-# or faster from 151 to 8125 taps, at 96k and 480k samples.
-_OA_FFT_TAPS = 8
+# costs O(n*P), the running sums O(n).  CPU ms per trend, direct/running sums
+# (one core, median of 41 calls, 15 at 480k samples), by kernel taps:
+#   taps          3          11         13         17         21         63        255
+#   32768    0.11/0.68  0.21/0.49  0.75/0.53  0.63/0.54  0.44/0.37  0.64/0.32  1.19/0.31
+#   96000    0.28/1.64  0.55/1.29  1.45/1.13  1.11/1.23  1.25/1.04  2.26/1.17  4.03/1.12
+#   480000   1.90/8.74  2.70/6.57  8.01/7.37  5.80/7.31  7.70/7.33 10.71/6.68 19.71/6.52
+# np.convolve leads up to 11 taps (3-6x at 3 taps, so P = 2 stays direct),
+# falls behind at 13-15 and is level at 17-19; from 21 the running sums lead.
+_DIRECT_MAX_TAPS = 11
 
 
 def _fast_len(n: int) -> int:
@@ -123,21 +126,25 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _overlap_add(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """``np.convolve(x, kernel)`` (the full convolution) by FFT overlap-add.
+def _running_average(x: np.ndarray, period: int) -> np.ndarray:
+    """The full convolution of ``x`` with the trend kernel, from running sums.
 
-    Each block of ``x`` is convolved in one zero-padded FFT and added into
-    the full convolution, so memory stays O(n) whatever the kernel length.
+    The window from phase q of period r is the rest of period r plus the
+    first q samples of period r + 1, each a running sum of ``x / period``
+    restarted every period: no sum spans more than one period, so the
+    rounding stays that of a direct sum and every sum is finite.
     """
-    taps = kernel.size
-    nfft = min(_fast_len(_OA_FFT_TAPS * taps), _fast_len(x.size + taps - 1))
-    step = nfft - taps + 1
-    response = np.fft.rfft(kernel, nfft)
-    full = np.zeros(x.size + taps - 1)
-    for lo in range(0, x.size, step):
-        block = x[lo:lo + step]
-        span = block.size + taps - 1
-        full[lo:lo + span] += np.fft.irfft(np.fft.rfft(block, nfft) * response, nfft)[:span]
+    n, offset = x.size, 2 * (period // 2)
+    full = np.zeros(offset + (n // period + 1) * period)
+    np.multiply(x, 1.0 / period, out=full[offset:offset + n])
+    y = full[offset:].reshape(-1, period)
+    head = np.cumsum(y[1:, :-1], axis=1)  # head[r, q - 1]: period r + 1 up to phase q
+    rest = y[:-1, ::-1]
+    np.cumsum(rest, axis=1, out=rest)  # y[r, q]: period r from phase q on
+    y[:-1, 1:] += head
+    if period % 2 == 0:  # the 2xP average is the mean of the P-sums from s and s + 1
+        full[period:n + 1] *= 0.5
+        full[period:n] += full[period + 1:n + 1]
     return full
 
 
@@ -147,22 +154,19 @@ def _centered_trend(x: np.ndarray, period: int) -> tuple[np.ndarray, int]:
     Even periods use the standard 2xP average (half weights on the two
     endpoints) so the window stays centered; both variants weight every
     phase of the cycle equally.  Kernels longer than ``_DIRECT_MAX_TAPS``
-    are applied by overlap-add FFT convolution, which agrees with the direct
-    sum to within about 1e-15 of max|x|.  The trend is a view of the full
+    take :func:`_running_average`, O(n) for any period and within about
+    1e-13 of max|x| of the exact sum.  The trend is a view of the full
     convolution, whose ``half`` samples past each end are overwritten by
     edge replication, so the valid part is not copied.
     """
-    if period % 2 == 0:
-        kernel = np.full(period + 1, 1.0 / period)
-        kernel[0] = kernel[-1] = 0.5 / period
-        half = period // 2
-    else:
-        kernel = np.full(period, 1.0 / period)
-        half = (period - 1) // 2
-    if kernel.size <= _DIRECT_MAX_TAPS:
+    half = period // 2
+    if 2 * half + 1 <= _DIRECT_MAX_TAPS:
+        kernel = np.full(2 * half + 1, 1.0 / period)
+        if period % 2 == 0:
+            kernel[0] = kernel[-1] = 0.5 / period
         full = np.convolve(x, kernel)
     else:
-        full = _overlap_add(x, kernel)
+        full = _running_average(x, period)
     n = x.size
     trend = full[half:half + n]
     trend[:half] = trend[half]
@@ -170,6 +174,9 @@ def _centered_trend(x: np.ndarray, period: int) -> tuple[np.ndarray, int]:
     return trend, half
 
 
+# Samples near the float64 limit can overflow the residual or the phase sums;
+# Decomposition then rejects the non-finite part, with no numpy warning.
+@np.errstate(over="ignore", invalid="ignore")
 def decompose_additive(x: TimeSeries, period: int) -> Decomposition:
     """Split a series into trend + seasonal + residual at a known period.
 
@@ -228,7 +235,9 @@ def estimate_period(x: TimeSeries, hint_hz: float | None = None) -> int:
     lags ``[2, len(x)//4]`` wins, ties broken toward the smallest lag.  The
     winner is scored by exact dot products, so it is the lag the direct
     ``np.correlate`` search picks, found in O(n log n) time.  A series that
-    is exactly zero after mean removal ties at every lag and gets 2.
+    is exactly zero after mean removal ties at every lag and gets 2.  The
+    search runs on the samples scaled by a power of two, which is exact, so
+    ``x * 2**k`` gets the lag of ``x`` at any magnitude.
     """
     n = len(x)
     if n < 16:
@@ -246,7 +255,12 @@ def estimate_period(x: TimeSeries, hint_hz: float | None = None) -> int:
             )
         return round(period)
 
-    centred = x.samples - x.samples.mean()
+    # With max|x| scaled into [0.5, 1) the energy neither overflows nor
+    # underflows; wherever no sample is subnormal, every sum below is the
+    # unscaled one times the same power of two, so the lag is unchanged.
+    samples = x.samples
+    centred = np.ldexp(samples, -np.frexp(max(samples.max(), -samples.min()))[1])
+    centred -= centred.mean()
     max_lag = n // 4
     # Biased autocorrelation; the taper toward long lags breaks period
     # multiples in favour of the fundamental.  Lag k is the exact dot product

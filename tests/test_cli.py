@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -608,6 +609,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("tdafault: ") and err.count("\n") == 1, err
         assert "rec_00001" in err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("period", [["--period", "68"], []], ids=["period-68", "estimated"])
+    def test_overflowing_decomposition_is_data_error(self, tmp_path, capsys, period):
+        # At shaft amplitude 1e307 the phase sums overflow; the period search
+        # itself works at any magnitude.
+        cfg, store, out = tmp_path / "cfg.json", tmp_path / "store", tmp_path / "d"
+        cfg.write_text(json.dumps({"synth": {"shaft_amplitude": 1e307}}))
+        assert main(["synth", "--out", str(store), "--fs", "2048", "--duration", "4",
+                     "--recordings", "1", "--seed", "3", "--config", str(cfg)]) == EXIT_OK
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["decompose", "--store", str(store), "--out", str(out), *period])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("tdafault: ") and err.count("\n") == 1, err
+        assert "rec_00000" in err and "contains NaN or Inf" in err
         assert not (out / "manifest.json").exists()
 
 

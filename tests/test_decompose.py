@@ -1,6 +1,8 @@
 """Additive decomposition: exactness, seasonal capture, period estimation."""
 
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -205,36 +207,68 @@ def vibration_like(n, period, seed):
 
 
 @pytest.fixture
-def overlap_add_calls(monkeypatch):
-    """Kernel lengths of the overlap-add convolutions made while the test runs."""
+def running_average_calls(monkeypatch):
+    """Periods of the running-sum trends taken while the test runs."""
     calls = []
-    real = decompose_module._overlap_add
+    real = decompose_module._running_average
 
-    def counting(x, kernel):
-        calls.append(kernel.size)
-        return real(x, kernel)
+    def counting(x, period):
+        calls.append(period)
+        return real(x, period)
 
-    monkeypatch.setattr(decompose_module, "_overlap_add", counting)
+    monkeypatch.setattr(decompose_module, "_running_average", counting)
     return calls
 
 
-class TestTrendFilterPaths:
-    """Short kernels convolve directly; longer ones use overlap-add."""
+def fsum_trend(x, period, t):
+    """The centered moving average at ``t``, from ``math.fsum`` of its window.
 
-    @pytest.mark.parametrize("period", [2, 3, 4, 7, 12, 69, 138, 139])
-    def test_short_periods_match_direct_formulas_bitwise(self, period, overlap_add_calls):
+    The window is scaled by a power of two first (exact), so the sum cannot
+    overflow; the result is the exact weighted mean, rounded twice.
+    """
+    half = period // 2
+    e = math.frexp(np.abs(x).max())[1]
+    w = np.ldexp(x[t - half:t + half + 1], -e)
+    if period % 2 == 0:
+        w[0] *= 0.5
+        w[-1] *= 0.5
+    return math.ldexp(math.fsum(w) / period, e)
+
+
+def adversarial(kind, n, period):
+    """Inputs that stress a running sum: offsets, growth and the float64 limit."""
+    rng = np.random.default_rng([n, period])
+    t = np.arange(n, dtype=float)
+    return {
+        "noise": lambda: rng.normal(size=n),
+        "dc": lambda: 1e6 + np.sin(2 * np.pi * t / period),
+        "ramp": lambda: t,
+        "ramp_1e290": lambda: t * 1e290,
+        "huge_noise": lambda: rng.normal(size=n) * 1e300,
+        "impulses": lambda: rng.normal(size=n) + 1e9 * (rng.random(n) < 1e-3),
+        "limit": lambda: 1.7e308 * rng.choice([-1.0, 1.0], size=n),
+        "limit_dc": lambda: np.full(n, 1.7e308),
+    }[kind]()
+
+
+class TestTrendFilterPaths:
+    """Short kernels convolve directly; longer ones take running window sums."""
+
+    @pytest.mark.parametrize("period", [2, 3, 4, 7, 10, 11])
+    def test_short_periods_match_direct_formulas_bitwise(self, period, running_average_calls):
         x = vibration_like(32768, period, seed=period)
         d = decompose_additive(make_series(x, fs=4096.0), period)
         trend, seasonal, residual = direct_decompose(x, period)
         np.testing.assert_array_equal(d.trend, trend)
         np.testing.assert_array_equal(d.seasonal, seasonal)
         np.testing.assert_array_equal(d.residual, residual)
-        assert overlap_add_calls == []
+        assert running_average_calls == []
 
     @pytest.mark.parametrize("n, period", [
+        (32768, 12), (32768, 69), (32768, 138), (32768, 139),
         (96_000, 695), (96_000, 1625), (96_000, 3310), (96_000, 3311), (480_000, 8125),
     ])
-    def test_long_periods_match_direct_convolution(self, n, period, overlap_add_calls):
+    def test_long_periods_match_direct_convolution(self, n, period, running_average_calls):
         x = vibration_like(n, period, seed=period)
         d = decompose_additive(make_series(x, fs=48000.0), period)
         trend, seasonal, residual = direct_decompose(x, period)
@@ -244,9 +278,26 @@ class TestTrendFilterPaths:
         assert np.abs(d.residual - residual).max() <= 1e-12 * scale
         assert np.abs(d.reconstruct() - x).max() <= 1e-12
         assert d.valid_range == (period // 2, n - period // 2)
-        assert overlap_add_calls == [period + 1 - period % 2]
+        assert running_average_calls == [period]
 
-    def test_crossover(self, overlap_add_calls):
+    @pytest.mark.parametrize("kind", ["noise", "dc", "ramp", "ramp_1e290", "huge_noise",
+                                      "impulses", "limit", "limit_dc"])
+    @pytest.mark.parametrize("n, period", [
+        (96_000, 12), (96_000, 13), (96_000, 1625), (480_000, 1625), (480_000, 8125),
+    ])
+    def test_running_sums_match_fsum(self, kind, n, period, running_average_calls):
+        x = adversarial(kind, n, period)
+        trend, half = decompose_module._centered_trend(x, period)
+        assert running_average_calls == [period]
+        assert np.isfinite(trend).all()
+        scale = np.abs(x).max()
+        rng = np.random.default_rng(period)
+        for t in [half, n - half - 1, *rng.integers(half, n - half, 150)]:
+            assert abs(trend[t] - fsum_trend(x, period, t)) <= 1e-12 * scale, t
+        assert (trend[:half] == trend[half]).all()
+        assert (trend[n - half:] == trend[n - half - 1]).all()
+
+    def test_crossover(self, running_average_calls):
         # Kernels have an odd number of taps, so the longest direct kernel
         # (odd period) and the next one (even period, one tap more than the
         # period) are two taps apart.
@@ -254,35 +305,21 @@ class TestTrendFilterPaths:
         x = vibration_like(96_000, _DIRECT_MAX_TAPS, seed=0)
         at = decompose_additive(make_series(x), _DIRECT_MAX_TAPS)
         np.testing.assert_array_equal(at.trend, direct_decompose(x, _DIRECT_MAX_TAPS)[0])
-        assert overlap_add_calls == []
+        assert running_average_calls == []
 
         past = decompose_additive(make_series(x), _DIRECT_MAX_TAPS + 1)
         trend = direct_decompose(x, _DIRECT_MAX_TAPS + 1)[0]
         assert np.abs(past.trend - trend).max() <= 1e-12 * np.abs(x).max()
         assert np.abs(past.reconstruct() - x).max() <= 1e-12
-        assert overlap_add_calls == [_DIRECT_MAX_TAPS + 2]
+        assert running_average_calls == [_DIRECT_MAX_TAPS + 1]
 
 
 def tiled_decompose(x, period):
-    """The n-long formulas: a copied valid trend, a weighted ``bincount`` over
-    tiled phases, the seasonal part as the tiled phase means, and the
+    """The n-long formulas on the module's own trend: a weighted ``bincount``
+    over tiled phases, the seasonal part as the tiled phase means, and the
     residual as ``detrended - seasonal``."""
     n = x.size
-    if period % 2 == 0:
-        kernel = np.full(period + 1, 1.0 / period)
-        kernel[0] = kernel[-1] = 0.5 / period
-        half = period // 2
-    else:
-        kernel = np.full(period, 1.0 / period)
-        half = (period - 1) // 2
-    if kernel.size <= _DIRECT_MAX_TAPS:
-        core = np.convolve(x, kernel, mode="valid")
-    else:
-        core = decompose_module._overlap_add(x, kernel)[kernel.size - 1:n]
-    trend = np.empty_like(x)
-    trend[half:n - half] = core
-    trend[:half] = core[0]
-    trend[n - half:] = core[-1]
+    trend, half = decompose_module._centered_trend(x, period)
     start, stop = half, n - half
     detrended = x - trend
     phases = np.tile(np.arange(period), -(-stop // period))[start:stop]
@@ -354,10 +391,10 @@ class TestOnePeriodPattern:
         with pytest.raises(AttributeError):
             d.seasonal = first
 
-    @pytest.mark.parametrize("period", [139, 1625])
+    @pytest.mark.parametrize("period", [2, 139, 1625])
     def test_peak_memory_is_the_outputs_and_one_padded_buffer(self, recordings, period):
         # 48 kHz x 2 s: each recording-sized array is 768 kB.  Both trend
-        # filter paths are covered (direct up to 255 taps, overlap-add past).
+        # filter paths are covered (direct for P = 2, running sums past).
         ts = recordings[48000.0]
         decompose_additive(ts, period)  # first-call set-up
         tracemalloc.start()
@@ -411,6 +448,23 @@ class TestDecompositionChecks:
     def test_pattern_is_one_period(self, pattern):
         with pytest.raises(ValueError, match="pattern"):
             Decomposition(**self.parts(pattern=pattern))
+
+    @pytest.mark.parametrize("field", ["trend", "pattern", "residual"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_parts_are_finite(self, field, bad):
+        value = self.parts()[field].copy()
+        value[1] = bad
+        with pytest.raises(ValueError, match=f"{field} contains NaN or Inf"):
+            Decomposition(**self.parts(**{field: value}))
+
+    @pytest.mark.parametrize("period", [2, 68])
+    def test_overflowing_decomposition_is_rejected_without_warnings(self, period):
+        # Phase sums of samples near the float64 limit overflow.
+        x = 1.7e308 * np.resize([1.0, -1.0, 1.0, 0.25], 40 * period)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="contains NaN or Inf"):
+                decompose_additive(make_series(x), period)
 
     @pytest.mark.parametrize("valid_range", [(-1, 10), (10, 9), (0, 41)])
     def test_valid_range_lies_in_the_series(self, valid_range):
@@ -481,6 +535,15 @@ class TestEstimatePeriod:
         cfg = SynthConfig(sample_rate_hz=fs, duration_s=duration, recordings_per_class=1, seed=7)
         for ts in gen_synthetic(cfg):
             assert estimate_period(ts) == direct_period(ts.samples), ts.label
+
+    @pytest.mark.parametrize("k", [-600, -300, 300, 500, 1000])
+    def test_period_does_not_depend_on_magnitude(self, recordings, k):
+        # x * 2**k is exact, and so is every sum of the search scaled by it.
+        desk = gen_synthetic(SynthConfig(sample_rate_hz=4096.0, duration_s=2.0,
+                                         recordings_per_class=1, seed=3))
+        for ts in [*desk, *recordings.values()]:
+            scaled = TimeSeries(np.ldexp(ts.samples, k), ts.sample_rate_hz)
+            assert estimate_period(scaled) == estimate_period(ts), ts.label
 
     @pytest.mark.parametrize("n", [16, 257, 4096])
     def test_dot_rescoring_reproduces_correlate_bitwise(self, n):
