@@ -29,8 +29,6 @@ from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from .autodiff import NumericsError
 from .data import (
     FAULT_CLASSES,
@@ -45,10 +43,10 @@ from .data import (
     load_recording_csv,
     load_recordings,
     load_recordings_mat,
+    save_components,
     save_features,
     save_recordings,
 )
-from .decompose import decompose_additive, estimate_period
 from .features import WindowSpec
 from .matio import MatFormatError
 from .metrics import ConfusionMatrix, EvalReport
@@ -167,38 +165,9 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    recordings = load_recordings(args.store)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "manifest.json").unlink(missing_ok=True)
-    entries = []
-    for i, ts in enumerate(recordings):
-        key = f"rec_{i:05d}"
-        try:
-            if args.period is not None:
-                period = args.period
-            else:
-                period = estimate_period(ts, args.period_hint_hz)
-            decomp = decompose_additive(ts, period)
-        except ValueError as exc:
-            raise ValueError(f"recording {key!r}: {exc}") from None
-        for part in ("trend", "seasonal", "residual"):
-            np.save(outdir / f"{key}.{part}.npy", getattr(decomp, part))
-        entries.append(
-            {
-                "key": key,
-                "label": ts.label,
-                "sample_rate_hz": float(ts.sample_rate_hz),
-                "n_samples": int(len(ts)),
-                "period": int(period),
-                "valid_range": list(decomp.valid_range),
-            }
-        )
-    _dump_json(
-        outdir / "manifest.json",
-        {"format": "tdafault-components-v1", "created": _stamp(args), "recordings": entries},
-    )
-    print(f"decomposed {len(entries)} recordings to {args.out}")
+    manifest = save_components(args.out, load_recordings(args.store), period=args.period,
+                               period_hint_hz=args.period_hint_hz, created=_stamp(args))
+    print(f"decomposed {len(manifest['recordings'])} recordings to {args.out}")
     return EXIT_OK
 
 

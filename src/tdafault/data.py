@@ -17,9 +17,10 @@ segments are kept in time order and the earliest go to training, the latest
 to test, so evaluation always happens on later data than the model saw.
 
 The store functions stream: ``gen_synthetic`` and ``load_recordings`` yield
-one recording at a time, and ``save_recordings`` and ``build_dataset`` take
-any iterable in one pass, so a store verb holds one recording in memory
-whatever the size of the store.
+one recording at a time, and ``save_recordings``, ``save_components`` and
+``build_dataset`` take any iterable in one pass, so a store verb holds one
+recording in memory whatever the size of the store; both decomposing verbs
+share one per-recording step.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ __all__ = [
     "gen_recording",
     "gen_synthetic",
     "save_recordings",
+    "save_components",
     "load_recordings",
     "load_recording_csv",
     "load_recordings_mat",
@@ -63,7 +65,9 @@ __all__ = [
 ]
 
 STORE_FORMAT = "tdafault-recordings-v1"
+COMPONENTS_FORMAT = "tdafault-components-v1"
 FEATURES_FORMAT = "tdafault-features-v1"
+_KEY = "rec_{:05d}"  # a recording's file stem in store and components directories
 SPLITS = ("train", "val", "test")
 
 SHAFT_RPM = 1772.0
@@ -140,7 +144,7 @@ class SynthConfig:
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.recordings_per_class < 1:
-            raise ValueError("recordings_per_class must be >= 1")
+            raise ValueError(f"recordings_per_class must be >= 1, got {self.recordings_per_class}")
         n = self.sample_rate_hz * self.duration_s
         if not (math.isfinite(n) and 1 <= round(n) <= MAX_SAMPLES):
             raise ValueError(f"sample_rate_hz * duration_s must give 1 to {MAX_SAMPLES} samples "
@@ -228,44 +232,76 @@ def _load_npy(path: Path, what: str) -> np.ndarray:
         raise ValueError(f"{what}: {exc}") from exc
 
 
-def save_recordings(
-    dirpath, recordings: Iterable[TimeSeries], *, meta: dict | None = None,
-    created: str | None = None
-) -> dict:
-    """Write recordings to a directory store (one .npy each plus a manifest).
+def _write_streamed(dirpath, recordings: Iterable[TimeSeries], header: dict, row) -> dict:
+    """Stream ``recordings`` into a directory: ``rec_<i><suffix>.npy`` files, then the manifest.
 
-    Each ``.npy`` is written as its recording arrives and the manifest last,
-    so a failed run leaves no manifest; an empty input raises before the
-    directory is made.  The manifest carries only input-derived fields
-    (``created`` stays null unless supplied), so identical inputs produce
-    byte-identical stores.  Returns the manifest dict.
+    ``row(i, ts)`` gives recording ``i``'s ``{suffix: array}`` files, written as
+    it arrives, and its manifest fields beyond key, label, rate and length.  A
+    stale manifest is dropped at the first recording and the new one, ``header``
+    plus the entries, is written last, so a failed run leaves no manifest; an
+    empty input raises before the directory is made.  Returns the manifest dict.
     """
     dirpath = Path(dirpath)
     entries = []
     for i, ts in enumerate(recordings):
+        arrays, extra = row(i, ts)
         if i == 0:
             dirpath.mkdir(parents=True, exist_ok=True)
             (dirpath / "manifest.json").unlink(missing_ok=True)
-        key = f"rec_{i:05d}"
-        np.save(dirpath / f"{key}.npy", np.asarray(ts.samples, dtype=np.float64))
-        entries.append(
-            {
-                "key": key,
-                "label": ts.label,
-                "sample_rate_hz": float(ts.sample_rate_hz),
-                "n_samples": int(len(ts)),
-            }
-        )
+        key = _KEY.format(i)
+        for suffix, array in arrays.items():
+            np.save(dirpath / f"{key}{suffix}.npy", array)
+        entries.append({"key": key, "label": ts.label, "sample_rate_hz": float(ts.sample_rate_hz),
+                        "n_samples": int(len(ts)), **extra})
     if not entries:
         raise ValueError("no recordings to save")
-    manifest = {
-        "format": STORE_FORMAT,
-        "created": created,
-        "meta": meta or {},
-        "recordings": entries,
-    }
+    manifest = {**header, "recordings": entries}
     _dump_json(dirpath / "manifest.json", manifest)
     return manifest
+
+
+def _decomposed(i: int, ts: TimeSeries, period: int | None, period_hint_hz: float | None):
+    """Recording ``i``'s period (``period``, or else estimated) and its decomposition.
+
+    A ``ValueError`` is prefixed with the recording's store key.
+    """
+    try:
+        period = period if period is not None else estimate_period(ts, period_hint_hz)
+        return period, decompose_additive(ts, period)
+    except ValueError as exc:
+        raise ValueError(f"recording {_KEY.format(i)!r}: {exc}") from None
+
+
+def save_recordings(
+    dirpath, recordings: Iterable[TimeSeries], *, meta: dict | None = None,
+    created: str | None = None
+) -> dict:
+    """Write recordings to a directory store (one .npy each plus a manifest), streamed.
+
+    The manifest carries only input-derived fields (``created`` stays null
+    unless supplied), so identical inputs produce byte-identical stores.
+    """
+    header = {"format": STORE_FORMAT, "created": created, "meta": meta or {}}
+    return _write_streamed(dirpath, recordings, header,
+                           lambda i, ts: ({"": np.asarray(ts.samples, dtype=np.float64)}, {}))
+
+
+def save_components(
+    dirpath, recordings: Iterable[TimeSeries], *, period: int | None = None,
+    period_hint_hz: float | None = None, created: str | None = None
+) -> dict:
+    """Decompose each recording and write ``rec_<i>.{trend,seasonal,residual}.npy``, streamed.
+
+    Each recording's entry adds its ``period`` (``period``, or else estimated
+    with ``period_hint_hz``) and ``valid_range``.  Returns the manifest dict.
+    """
+    def row(i, ts):
+        used, decomp = _decomposed(i, ts, period, period_hint_hz)
+        return ({f".{part}": getattr(decomp, part) for part in ("trend", "seasonal", "residual")},
+                {"period": int(used), "valid_range": list(decomp.valid_range)})
+
+    return _write_streamed(dirpath, recordings, {"format": COMPONENTS_FORMAT, "created": created},
+                           row)
 
 
 def load_recordings(dirpath) -> Iterator[TimeSeries]:
@@ -323,9 +359,13 @@ def _read_recordings(dirpath: Path, checked: list) -> Iterator[TimeSeries]:
 
 
 def save_features(dirpath, dataset: DatasetSplits) -> None:
-    """Write ``X_<split>.npy``, ``y_<split>.npy``, the standardizer and the manifest."""
+    """Write ``X_<split>.npy``, ``y_<split>.npy``, the standardizer and, last, the manifest.
+
+    A stale manifest is dropped first, so one that exists describes one run.
+    """
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
+    (dirpath / "manifest.json").unlink(missing_ok=True)
     for which in SPLITS:
         np.save(dirpath / f"X_{which}.npy", dataset.split(which).tokens)
         np.save(dirpath / f"y_{which}.npy", dataset.split(which).labels)
@@ -405,9 +445,11 @@ class SplitConfig:
 
     def __post_init__(self) -> None:
         if self.segment_len < 1:
-            raise ValueError("segment_len must be >= 1")
-        if not 0.0 < self.train_fraction < 1.0 or not 0.0 <= self.val_fraction < 1.0:
-            raise ValueError("fractions must lie in (0, 1)")
+            raise ValueError(f"segment_len must be >= 1, got {self.segment_len}")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ValueError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
         if self.train_fraction + self.val_fraction >= 1.0:
             raise ValueError("train_fraction + val_fraction must leave room for test")
 
@@ -502,11 +544,10 @@ def build_dataset(
 
     per_class_segments: dict[str, list[np.ndarray]] = {}
     recording_entries = []
-    for ts in recordings:
+    for i, ts in enumerate(recordings):
         if ts.label is None:
             raise ValueError("all recordings need a label to build a dataset")
-        period = estimate_period(ts, period_hint_hz)
-        decomp = decompose_additive(ts, period)
+        period, decomp = _decomposed(i, ts, None, period_hint_hz)
         seq = featurize(decomp, window, ma=ma, label=ts.label)
         segments = segment_tokens(seq.tokens, split.segment_len)
         per_class_segments.setdefault(ts.label, []).extend(segments)

@@ -51,13 +51,11 @@ class ModelConfig:
     ffn_mult: int = 2
 
     def __post_init__(self) -> None:
-        if self.heads < 1 or self.layers < 1:
-            raise ValueError("heads and layers must be >= 1")
-        for name in ("d_model", "d_k", "d_v"):
+        for name in ("heads", "layers", "d_model", "d_k", "d_v"):
             val = getattr(self, name)
             if val < 1:
                 raise ValueError(f"{name} must be >= 1, got {val}")
-            if val % self.heads != 0:
+            if name.startswith("d_") and val % self.heads != 0:
                 raise ValueError(f"{name}={val} not divisible by heads={self.heads}")
         if self.n_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.n_classes}")

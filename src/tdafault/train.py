@@ -41,12 +41,14 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must lie in [0, inf), got {self.learning_rate}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         if not 0 < self.eps < math.inf:
             raise ValueError(f"eps must lie in (0, inf), got {self.eps}")
-        if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
-            raise ValueError("batch_size, max_epochs and patience must be >= 1")
+        for name in ("batch_size", "max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 class Adam:
@@ -58,19 +60,9 @@ class Adam:
         self.t = 0
         self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
-        # each parameter's scratch pair is a view of one pair of buffers
-        # sized to the largest parameter, so a step allocates nothing
-        size = max((p.data.size for p in params.values()), default=0)
-        pair = (np.empty(size), np.empty(size))
-        self._scratch = {k: tuple(b[:p.data.size].reshape(p.data.shape) for b in pair)
-                         for k, p in params.items()}
 
     def step(self) -> None:
-        """One update, ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, in place.
-
-        The float operations and their order are the formula's, so the
-        parameters are bit-identical to evaluating it with temporaries.
-        """
+        """One update, ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``."""
         cfg = self.cfg
         self.t += 1
         bc1 = 1.0 - cfg.beta1 ** self.t
@@ -81,21 +73,11 @@ class Adam:
                 continue
             m = self._m[name]
             v = self._v[name]
-            s, u = self._scratch[name]
             m *= cfg.beta1
-            np.multiply(g, 1.0 - cfg.beta1, out=s)
-            m += s
+            m += g * (1.0 - cfg.beta1)
             v *= cfg.beta2
-            np.multiply(g, 1.0 - cfg.beta2, out=s)
-            s *= g
-            v += s
-            np.divide(v, bc2, out=s)
-            np.sqrt(s, out=s)
-            s += cfg.eps
-            np.divide(m, bc1, out=u)
-            u *= cfg.learning_rate
-            u /= s
-            p.data -= u
+            v += g * (1.0 - cfg.beta2) * g
+            p.data -= m / bc1 * cfg.learning_rate / (np.sqrt(v / bc2) + cfg.eps)
 
 
 @dataclass
@@ -112,7 +94,7 @@ def _backward_batch(model: TdaEncoder, tokens: np.ndarray, labels: np.ndarray) -
 
     The graph is freed on return, before the next batch builds its own.
     """
-    loss = ad.cross_entropy_logits(model.forward(tokens, training=True), labels)
+    loss = model.loss(tokens, labels, training=True)
     ad.scale(loss, 1.0 / len(labels)).backward()
     return loss.item()
 

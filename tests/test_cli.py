@@ -611,10 +611,13 @@ class TestExitCodes:
         assert "rec_00001" in err
         assert not (out / "manifest.json").exists()
 
-    @pytest.mark.parametrize("period", [["--period", "68"], []], ids=["period-68", "estimated"])
-    def test_overflowing_decomposition_is_data_error(self, tmp_path, capsys, period):
+    @pytest.mark.parametrize("verb, period", [
+        ("decompose", ["--period", "68"]), ("decompose", []), ("featurize", []),
+    ], ids=["period-68", "estimated", "featurize"])
+    def test_overflowing_decomposition_is_data_error(self, tmp_path, capsys, verb, period):
         # At shaft amplitude 1e307 the phase sums overflow; the period search
-        # itself works at any magnitude.
+        # itself works at any magnitude.  Both verbs decompose by one step,
+        # which names the recording.
         cfg, store, out = tmp_path / "cfg.json", tmp_path / "store", tmp_path / "d"
         cfg.write_text(json.dumps({"synth": {"shaft_amplitude": 1e307}}))
         assert main(["synth", "--out", str(store), "--fs", "2048", "--duration", "4",
@@ -622,12 +625,33 @@ class TestExitCodes:
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["decompose", "--store", str(store), "--out", str(out), *period])
+            code = main([verb, "--store", str(store), "--out", str(out), *period])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("tdafault: ") and err.count("\n") == 1, err
         assert "rec_00000" in err and "contains NaN or Inf" in err
         assert not (out / "manifest.json").exists()
+        assert not out.exists()  # made at the first recording's write, which never came
+
+    @pytest.mark.parametrize("verb, flag, value, field", [
+        ("synth", "--recordings", "0", "recordings_per_class"),
+        ("featurize", "--segment-len", "0", "segment_len"),
+        ("featurize", "--train-frac", "1.0", "train_fraction"),
+        ("featurize", "--val-frac", "1.5", "val_fraction"),
+        ("train", "--heads", "0", "heads"),
+        ("train", "--layers", "0", "layers"),
+        ("train", "--batch-size", "0", "batch_size"),
+        ("train", "--epochs", "0", "max_epochs"),
+        ("train", "--patience", "0", "patience"),
+    ])
+    def test_out_of_range_setting_names_its_field_and_value(self, chain, tmp_path, capsys,
+                                                            verb, flag, value, field):
+        source = {"synth": [], "featurize": ["--store", str(chain["store"])],
+                  "train": ["--features", str(chain["feats"])]}[verb]
+        assert main([verb, *source, "--out", str(tmp_path / "o"), flag, value]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"tdafault: {field} must ") and err.count("\n") == 1, err
+        assert f"got {value}" in err, err
 
 
 class TestConfigFile:

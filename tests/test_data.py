@@ -523,6 +523,28 @@ class TestFeaturesDirectory:
         assert back.manifest == json.loads(json.dumps(ds.manifest))
         np.testing.assert_array_equal(back.standardizer.mean, ds.standardizer.mean)
 
+    def test_failed_rewrite_leaves_no_manifest(self, splits, features_dir, tmp_path,
+                                               monkeypatch):
+        # a run that fails after its first array must not leave the old
+        # manifest describing a mix of old and new files
+        root = tmp_path / "feats"
+        shutil.copytree(features_dir, root)
+        saved, real_save = [], np.save
+
+        def save(path, array):
+            if saved:
+                raise OSError("disk full")
+            real_save(path, array)
+            saved.append(path)
+
+        monkeypatch.setattr(np, "save", save)
+        with pytest.raises(OSError, match="disk full"):
+            save_features(root, splits[2])
+        monkeypatch.undo()
+        assert saved and not (root / "manifest.json").exists()
+        with pytest.raises(FileNotFoundError, match="manifest.json"):
+            load_features(root)
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(mutation=_mutations(), index=st.integers(0, 10 ** 6))
     def test_malformed_array_names_its_file(self, features_dir, mutation, index):

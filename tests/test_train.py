@@ -128,7 +128,8 @@ class TestAdam:
         np.testing.assert_allclose(p.data, ref, atol=1e-15)
 
     def test_in_place_step_is_bit_identical_to_the_formula(self):
-        # parameters of different shapes share one scratch pair
+        # each update is the formula's float operations in its order, on parameters of
+        # several shapes
         rng = np.random.default_rng(12)
         shapes = {"w": (4, 5), "b": (3,), "e": (2, 3, 2)}
         w0 = {k: rng.normal(size=s) for k, s in shapes.items()}
