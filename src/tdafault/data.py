@@ -224,6 +224,20 @@ def _load_json_object(path, what: str) -> dict:
     return obj
 
 
+def _load_manifest(dirpath: Path, what: str) -> tuple[Path, dict]:
+    """``dirpath``'s ``manifest.json`` path and object, for a ``what`` directory.
+
+    A directory without a manifest is a ``ValueError`` naming it: the manifest
+    is written last, so its absence marks a run that failed or never finished.
+    """
+    path = dirpath / "manifest.json"
+    try:
+        return path, _load_json_object(path, f"{what} manifest")
+    except FileNotFoundError:
+        raise ValueError(f"{dirpath} holds no {what} manifest.json: an unfinished or failed "
+                         f"run, or not a {what} directory") from None
+
+
 def _load_npy(path: Path, what: str) -> np.ndarray:
     """``np.load``; a cut-short or foreign file is a ``ValueError`` naming ``what``."""
     try:
@@ -315,8 +329,7 @@ def load_recordings(dirpath) -> Iterator[TimeSeries]:
     ``n_samples``.  Anything else raises ``ValueError`` naming the entry.
     """
     dirpath = Path(dirpath)
-    manifest_path = dirpath / "manifest.json"
-    manifest = _load_json_object(manifest_path, "store manifest")
+    manifest_path, manifest = _load_manifest(dirpath, "store")
     if manifest.get("format") != STORE_FORMAT:
         raise ValueError(f"unrecognized store format {manifest.get('format')!r}")
     entries = manifest.get("recordings")
@@ -376,8 +389,7 @@ def save_features(dirpath, dataset: DatasetSplits) -> None:
 def load_features(dirpath) -> DatasetSplits:
     """Read :func:`save_features` output; a bad split's ``ValueError`` names its file(s)."""
     dirpath = Path(dirpath)
-    manifest_path = dirpath / "manifest.json"
-    manifest = _load_json_object(manifest_path, "features manifest")
+    manifest_path, manifest = _load_manifest(dirpath, "features")
     if manifest.get("format") != FEATURES_FORMAT:
         raise ValueError(f"unrecognized features format {manifest.get('format')!r}")
     for key in ("labels", "feature_names"):

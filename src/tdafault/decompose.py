@@ -9,9 +9,11 @@ samples per period the moving average is taken from running sums restarted
 at every period, so it costs O(n) whatever the period.
 
 The seasonal component is exactly periodic, so a :class:`Decomposition`
-keeps one period of it.  :func:`decompose_additive` forms the residual once
-and works in place: the phase means are the column sums of whole periods,
-and the pattern is subtracted from the residual period by period.
+keeps one period of it, and the residual is what the samples, trend and
+pattern leave, so it keeps a reference to the samples instead of a residual
+array.  :func:`decompose_additive` subtracts the trend from the valid samples
+straight into the buffer whose column sums (whole periods) are the phase
+sums; the residual is derived on demand, whole or for any span.
 """
 
 from __future__ import annotations
@@ -52,29 +54,33 @@ class TimeSeries:
 class Decomposition:
     """Aligned trend/seasonal/residual components of one series.
 
-    ``trend + seasonal + residual`` reconstructs the input everywhere (the
-    residual is defined as the remainder).  The seasonal component is exactly
-    ``period``-periodic, so only one period of it is kept, as ``pattern``;
-    ``seasonal`` builds the full-length component from it on each access.
-    ``valid_range`` is the half-open index interval where the trend estimate
-    has a full averaging window; outside it the trend is edge-replicated.
+    ``samples`` is the decomposed series itself (the caller's array, not a
+    copy) and ``trend`` its trend, both of one length.  The seasonal component
+    is exactly ``period``-periodic, so only one period of it is kept, as
+    ``pattern``; ``seasonal`` builds the full-length component from it on each
+    access.  The residual is the remainder ``(samples - trend) - seasonal``,
+    built on each access by ``residual`` (whole) or :meth:`residual_between`
+    (any span), so ``trend + seasonal + residual`` reconstructs the samples
+    everywhere.  ``valid_range`` is the half-open index interval where the
+    trend estimate has a full averaging window; outside it the trend is
+    edge-replicated.
     """
 
     trend: np.ndarray
     pattern: np.ndarray
-    residual: np.ndarray
+    samples: np.ndarray
     period: int
     valid_range: tuple[int, int]
 
     def __post_init__(self) -> None:
-        trend, residual = self.trend, self.residual
-        for name, part in (("trend", trend), ("residual", residual)):
+        trend, samples = self.trend, self.samples
+        for name, part in (("trend", trend), ("samples", samples)):
             if not isinstance(part, np.ndarray) or part.ndim != 1:
                 raise ValueError(f"{name} must be a 1-D numpy array, got "
                                  f"{type(part).__name__} of shape {np.shape(part)}")
         n = trend.size
-        if residual.size != n:
-            raise ValueError(f"residual has {residual.size} samples, trend has {n}")
+        if samples.size != n:
+            raise ValueError(f"samples has {samples.size} values, trend has {n}")
         period = self.period
         if not isinstance(period, (int, np.integer)) or isinstance(period, bool) or period < 2:
             raise ValueError(f"period must be an int >= 2, got {period!r}")
@@ -83,9 +89,18 @@ class Decomposition:
         if not isinstance(self.pattern, np.ndarray) or self.pattern.shape != (period,):
             raise ValueError(f"pattern must be a numpy array of shape ({period},), got "
                              f"{type(self.pattern).__name__} of shape {np.shape(self.pattern)}")
-        for name, part in (("trend", trend), ("pattern", self.pattern), ("residual", residual)):
+        for name, part in (("samples", samples), ("trend", trend), ("pattern", self.pattern)):
             if not np.isfinite(part).all():
                 raise ValueError(f"{name} contains NaN or Inf")
+        # Rounding is monotone, so no residual exceeds this bound in magnitude;
+        # only when the bound overflows are the residuals themselves checked.
+        bound = (_peak(samples) + _peak(trend)) + _peak(self.pattern)
+        if not np.isfinite(bound):
+            with np.errstate(over="ignore", invalid="ignore"):
+                for lo in range(0, n, _BLOCK_SAMPLES):
+                    span = self.residual_between(lo, min(lo + _BLOCK_SAMPLES, n))
+                    if not np.isfinite(span).all():
+                        raise ValueError("residual contains NaN or Inf")
         start, stop = self.valid_range
         if not 0 <= start <= stop <= n:
             raise ValueError(f"valid_range must satisfy 0 <= start <= stop <= {n}, "
@@ -97,8 +112,43 @@ class Decomposition:
         n = self.trend.size
         return np.tile(self.pattern, -(-n // self.period))[:n]
 
+    @property
+    def residual(self) -> np.ndarray:
+        """The residual ``(samples - trend) - seasonal`` over the whole series (a new array)."""
+        return self.residual_between(0, self.trend.size)
+
+    def residual_between(self, lo: int, hi: int) -> np.ndarray:
+        """``residual[lo:hi]`` as a new array, built from that span alone.
+
+        Each value is ``(samples[t] - trend[t]) - pattern[t % period]``, the
+        same two subtractions in the same order whatever the span, so every
+        span carries the bits of the whole residual.
+        """
+        if not 0 <= lo <= hi <= self.trend.size:
+            raise ValueError(f"span must satisfy 0 <= lo <= hi <= {self.trend.size}, "
+                             f"got ({lo}, {hi})")
+        out = self.samples[lo:hi] - self.trend[lo:hi]
+        cycle = np.roll(self.pattern, -(lo % self.period))  # the pattern from phase lo on
+        whole = out.size - out.size % self.period
+        body = out[:whole].reshape(-1, self.period)
+        body -= cycle
+        out[whole:] -= cycle[:out.size - whole]
+        return out
+
     def reconstruct(self) -> np.ndarray:
         return self.trend + self.seasonal + self.residual
+
+
+# Samples per block of the running sums' head sums, and per residual span the
+# Decomposition constructor checks when its bound overflows (256 KiB of
+# float64).  Blocks of 2**13 to 2**17 samples time alike at 96k samples; one
+# block of a whole 480k-sample recording is about a third slower.
+_BLOCK_SAMPLES = 1 << 15
+
+
+def _peak(x: np.ndarray) -> float:
+    """``max |x|`` as a Python float, without an array of absolute values."""
+    return max(float(x.max()), -float(x.min()))
 
 
 # Longest kernel the trend filter convolves directly.  Direct convolution
@@ -138,10 +188,15 @@ def _running_average(x: np.ndarray, period: int) -> np.ndarray:
     full = np.zeros(offset + (n // period + 1) * period)
     np.multiply(x, 1.0 / period, out=full[offset:offset + n])
     y = full[offset:].reshape(-1, period)
-    head = np.cumsum(y[1:, :-1], axis=1)  # head[r, q - 1]: period r + 1 up to phase q
-    rest = y[:-1, ::-1]
-    np.cumsum(rest, axis=1, out=rest)  # y[r, q]: period r from phase q on
-    y[:-1, 1:] += head
+    # A block of rows at a time, in order: block [a, b) reads row b before
+    # the next block overwrites it, and no head sums longer than a block are held.
+    step = max(1, _BLOCK_SAMPLES // period)
+    for a in range(0, y.shape[0] - 1, step):
+        b = min(a + step, y.shape[0] - 1)
+        head = np.cumsum(y[a + 1:b + 1, :-1], axis=1)  # head[r, q - 1]: period r + 1 up to q
+        rest = y[a:b, ::-1]
+        np.cumsum(rest, axis=1, out=rest)  # y[r, q]: period r from phase q on
+        y[a:b, 1:] += head
     if period % 2 == 0:  # the 2xP average is the mean of the P-sums from s and s + 1
         full[period:n + 1] *= 0.5
         full[period:n] += full[period + 1:n + 1]
@@ -174,8 +229,9 @@ def _centered_trend(x: np.ndarray, period: int) -> tuple[np.ndarray, int]:
     return trend, half
 
 
-# Samples near the float64 limit can overflow the residual or the phase sums;
-# Decomposition then rejects the non-finite part, with no numpy warning.
+# Samples near the float64 limit can overflow the detrended samples or the
+# phase sums; Decomposition then rejects the non-finite part, with no numpy
+# warning.
 @np.errstate(over="ignore", invalid="ignore")
 def decompose_additive(x: TimeSeries, period: int) -> Decomposition:
     """Split a series into trend + seasonal + residual at a known period.
@@ -190,12 +246,13 @@ def decompose_additive(x: TimeSeries, period: int) -> Decomposition:
     Returns
     -------
     Decomposition
-        Trend and residual of the same length as the input, and one period
-        of the seasonal component.  The seasonal component is exactly
-        P-periodic and sums to ~0 over one period; the residual closes the
-        additive identity everywhere, including the edge-replicated trend
-        region.  Besides these outputs the call holds one zero-padded copy
-        of the valid residual, whole periods long.
+        The trend, of the same length as the input, one period of the
+        seasonal component, and a reference to ``x.samples``, from which the
+        residual is derived.  The seasonal component is exactly P-periodic
+        and sums to ~0 over one period; the residual closes the additive
+        identity everywhere, including the edge-replicated trend region.
+        Besides the trend and pattern the call holds one zero-padded copy of
+        the valid detrended samples, whole periods long.
     """
     if period < 2:
         raise ValueError(f"period must be >= 2, got {period}")
@@ -206,25 +263,19 @@ def decompose_additive(x: TimeSeries, period: int) -> Decomposition:
 
     trend, half = _centered_trend(samples, period)
     start, stop = half, n - half
-    residual = samples - trend
 
-    # Phase p sums the valid samples t = p (mod P) in index order, as a
-    # bincount over tiled phases would: the column sums of whole periods,
-    # zero outside [start, stop).
+    # Phase p sums the valid detrended samples t = p (mod P) in index order,
+    # as a bincount over tiled phases would: the column sums of whole
+    # periods, zero outside [start, stop).
     rows = -(-stop // period)
     padded = np.zeros(rows * period)
-    padded[start:stop] = residual[start:stop]
+    np.subtract(samples[start:stop], trend[start:stop], out=padded[start:stop])
     pattern = padded.reshape(rows, period).sum(axis=0)
     del padded
     phase = np.arange(period)
     pattern /= (stop - 1 - phase) // period - (start - 1 - phase) // period
     pattern -= pattern.mean()
-
-    whole = n - n % period
-    body = residual[:whole].reshape(-1, period)
-    body -= pattern
-    residual[whole:] -= pattern[:n - whole]
-    return Decomposition(trend, pattern, residual, period, (start, stop))
+    return Decomposition(trend, pattern, samples, period, (start, stop))
 
 
 def estimate_period(x: TimeSeries, hint_hz: float | None = None) -> int:

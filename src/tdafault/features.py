@@ -11,7 +11,8 @@ vectors that depend only on the window length and the :class:`MaConfig`
 (the HEMA is linear), built once from two :func:`~tdafault.movavg.hema`
 calls on an impulse; no window is filtered.  The seasonal component repeats
 with the decomposition's period, so its two features are computed once per
-distinct window offset within one period.
+distinct window offset within one period.  The residual is derived from the
+decomposition's samples one block of windows at a time, never whole.
 
 Moment conventions are population central moments; degenerate (constant)
 windows yield 0 rather than NaN for the moment ratios and the
@@ -261,16 +262,21 @@ def featurize(decomp, spec: WindowSpec, ma: MaConfig | None = None, label: str |
     ``ValueError`` for non-finite tokens.  Windows are processed
     in blocks of ``BLOCK_SAMPLES // spec.length`` (at least one), as the rows
     of one window matrix per component, so memory stays bounded however long
-    the recording is.  Window ``i``'s seasonal samples are the decomposition's
-    one-period ``pattern`` read from offset ``i * stride % period`` on, so the
-    two seasonal features are computed once per distinct offset, over the
-    pattern repeated to at least ``period + length - 1`` samples, and copied
-    to every window with that offset.
+    the recording is: each block's residual is derived over that block's own
+    span alone, ``(block - 1) * stride + length`` samples, by
+    :meth:`~tdafault.decompose.Decomposition.residual_between`, so no
+    residual the length of the recording is built.  Window ``i``'s seasonal
+    samples are the decomposition's one-period ``pattern`` read from offset
+    ``i * stride % period`` on, so the two seasonal features are computed
+    once per distinct offset, over the pattern repeated to at least
+    ``period + length - 1`` samples, and copied to every window with that
+    offset.
 
     Parameters
     ----------
     decomp : Decomposition
-        Aligned trend/residual components and one period of the seasonal one.
+        The samples and their aligned trend, and one period of the seasonal
+        component.
     spec : WindowSpec
         Window length and stride.
     ma : MaConfig, optional
@@ -280,12 +286,9 @@ def featurize(decomp, spec: WindowSpec, ma: MaConfig | None = None, label: str |
     """
     if ma is None:
         ma = MaConfig()
-    count = spec.count(decomp.residual.size)
-    # (count, length) views of the residual and trend; nothing is copied here.
-    res, tr = (
-        sliding_window_view(part, spec.length)[::spec.stride]
-        for part in (decomp.residual, decomp.trend)
-    )
+    count = spec.count(decomp.trend.size)
+    # (count, length) view of the trend; nothing is copied here.
+    tr = sliding_window_view(decomp.trend, spec.length)[::spec.stride]
     offsets, at_offset = np.unique(np.arange(count) * spec.stride % decomp.period,
                                    return_inverse=True)
     # Whole periods, at least period + length - 1 samples: room for every offset's window.
@@ -298,7 +301,10 @@ def featurize(decomp, spec: WindowSpec, ma: MaConfig | None = None, label: str |
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, count, block):
             rows = slice(lo, lo + block)
-            _window_tokens(res[rows], tr[rows], ma, tokens[rows])
+            last = min(lo + block, count) - 1  # the block's last window
+            span = decomp.residual_between(lo * spec.stride, last * spec.stride + spec.length)
+            res = sliding_window_view(span, spec.length)[::spec.stride]
+            _window_tokens(res, tr[rows], ma, tokens[rows])
         for lo in range(0, offsets.size, block):
             _season_features(se[offsets[lo:lo + block]], season[lo:lo + block])
     tokens[:, 7:] = season[at_offset]

@@ -243,6 +243,23 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("verb, flag, source, what", [
+        ("featurize", "--store", "store", "store"), ("decompose", "--store", "store", "store"),
+        ("train", "--features", "feats", "features"),
+    ])
+    def test_directory_without_manifest_is_an_unfinished_run(self, chain, tmp_path, capsys,
+                                                             verb, flag, source, what):
+        # a run that failed or never finished leaves its arrays and no manifest
+        unfinished = tmp_path / source
+        shutil.copytree(chain[source], unfinished)
+        (unfinished / "manifest.json").unlink()
+        out = tmp_path / "o"
+        assert main([verb, flag, str(unfinished), "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == (f"tdafault: {unfinished} holds no {what} manifest.json: an unfinished "
+                       f"or failed run, or not a {what} directory\n"), err
+        assert not out.exists()
+
     def test_malformed_manifest_is_data_error(self, tmp_path, capsys):
         store = tmp_path / "store"
         store.mkdir()

@@ -542,8 +542,23 @@ class TestFeaturesDirectory:
             save_features(root, splits[2])
         monkeypatch.undo()
         assert saved and not (root / "manifest.json").exists()
-        with pytest.raises(FileNotFoundError, match="manifest.json"):
+        with pytest.raises(ValueError, match="manifest.json"):
             load_features(root)
+
+    @pytest.mark.parametrize("load, what", [(load_features, "features"),
+                                            (load_recordings, "store")])
+    def test_directory_without_manifest_names_an_unfinished_run(self, tmp_path, load, what):
+        # The manifest is written last, so a directory without one holds a
+        # failed or unfinished run; that is a data error naming the directory.
+        root = tmp_path / "run"
+        root.mkdir()
+        np.save(root / "rec_00000.npy", np.zeros(8))
+        for where in (root, tmp_path / "nowhere"):
+            with pytest.raises(ValueError) as exc:
+                load(where)
+            message = str(exc.value)
+            assert str(where) in message and f"no {what} manifest.json" in message
+            assert "unfinished or failed run" in message
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(mutation=_mutations(), index=st.integers(0, 10 ** 6))

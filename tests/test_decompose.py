@@ -395,6 +395,7 @@ class TestOnePeriodPattern:
     def test_peak_memory_is_the_outputs_and_one_padded_buffer(self, recordings, period):
         # 48 kHz x 2 s: each recording-sized array is 768 kB.  Both trend
         # filter paths are covered (direct for P = 2, running sums past).
+        # No residual is built: the decomposition refers to the samples.
         ts = recordings[48000.0]
         decompose_additive(ts, period)  # first-call set-up
         tracemalloc.start()
@@ -404,9 +405,80 @@ class TestOnePeriodPattern:
         finally:
             tracemalloc.stop()
         n = len(ts)
-        outputs = d.trend.nbytes + d.residual.nbytes + d.pattern.nbytes
+        outputs = d.trend.nbytes + d.pattern.nbytes
         padded = -(-(n - period // 2) // period) * period * 8
         assert peak <= outputs + padded + 64 * 1024, (peak, outputs, padded)
+
+    def test_held_decompositions_keep_only_trend_and_pattern(self):
+        # As fullrate_ingest holds them: ten 48 kHz x 2 s recordings, each
+        # decomposed at its estimated period and kept with its samples.  The
+        # trend is a view of the trend filter's output, a few periods longer.
+        cfg = SynthConfig(sample_rate_hz=48000.0, duration_s=2.0, recordings_per_class=1, seed=3)
+        recordings = list(gen_synthetic(cfg))
+        periods = [estimate_period(ts) for ts in recordings]
+        assert len(recordings) == 10
+        decompose_additive(recordings[0], periods[0])  # first-call set-up
+        tracemalloc.start()
+        try:
+            held = [decompose_additive(ts, p) for ts, p in zip(recordings, periods)]
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        for d, ts in zip(held, recordings):
+            assert d.samples is ts.samples
+        parts = sum(d.trend.base.nbytes + d.pattern.nbytes for d in held)
+        assert current <= parts + 64 * 1024, (current, parts)
+        assert parts <= 10 * (len(recordings[0]) + 3 * max(periods)) * 8
+
+
+class TestResidualFromSamples:
+    """The residual is derived from the samples, whole or by span, with its bits."""
+
+    @pytest.mark.parametrize("fs", [4096.0, 48000.0])
+    @pytest.mark.parametrize("period", [2, 3, 139, 3310])
+    def test_residual_and_every_span_match_the_remainder_bitwise(self, recordings, fs, period):
+        ts = recordings[fs]
+        d = decompose_additive(ts, period)
+        want = (ts.samples - d.trend) - d.seasonal
+        assert_same_bits(d.residual, want)
+        n = len(ts)
+        spans = [(0, n), (0, 0), (n, n), (1, n), (period - 1, 3 * period + 1),
+                 (period // 2, n - period // 2), (period + 1, period + 2), (5, 2 * period + 5),
+                 (n - period - 1, n)]
+        rng = np.random.default_rng(period)
+        spans += [tuple(sorted(rng.integers(0, n + 1, size=2))) for _ in range(20)]
+        for lo, hi in spans:
+            assert_same_bits(d.residual_between(lo, hi), want[lo:hi])
+
+    def test_samples_are_the_callers_array(self, recordings):
+        ts = recordings[4096.0]
+        d = decompose_additive(ts, 139)
+        assert d.samples is ts.samples
+        assert np.shares_memory(d.samples, ts.samples)
+
+    def test_residual_is_a_fresh_read_only_property(self, recordings):
+        d = decompose_additive(recordings[4096.0], 139)
+        first = d.residual
+        first[:] = 0.0
+        assert not np.array_equal(d.residual, first)
+        assert not np.shares_memory(d.residual_between(0, 10), d.samples)
+        with pytest.raises(AttributeError):
+            d.residual = first
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 5), (5, 4), (0, 10 ** 6)])
+    def test_span_outside_the_series_is_rejected(self, recordings, lo, hi):
+        d = decompose_additive(recordings[4096.0], 139)
+        with pytest.raises(ValueError, match="span"):
+            d.residual_between(lo, hi)
+
+    def test_reconstruct_sums_the_three_parts(self, recordings):
+        # Never the samples themselves: reconstruction checks must test the parts.
+        ts = recordings[48000.0]
+        d = decompose_additive(ts, 139)
+        rebuilt = d.reconstruct()
+        assert not np.shares_memory(rebuilt, ts.samples)
+        assert_same_bits(rebuilt, d.trend + d.seasonal + d.residual)
+        assert np.abs(rebuilt - ts.samples).max() <= 1e-12
 
 
 class TestDecompositionChecks:
@@ -416,24 +488,24 @@ class TestDecompositionChecks:
 
     def parts(self, **changes):
         n, period = self.N, self.PERIOD
-        fields = dict(trend=np.zeros(n), pattern=np.zeros(period), residual=np.zeros(n),
+        fields = dict(trend=np.zeros(n), pattern=np.zeros(period), samples=np.zeros(n),
                       period=period, valid_range=(2, n - 2))
         fields.update(changes)
         return fields
 
     def test_consistent_parts_are_accepted(self):
         d = Decomposition(**self.parts())
-        assert d.seasonal.shape == (self.N,)
+        assert d.seasonal.shape == d.residual.shape == (self.N,)
 
-    @pytest.mark.parametrize("field", ["trend", "residual"])
+    @pytest.mark.parametrize("field", ["trend", "samples"])
     @pytest.mark.parametrize("value", [np.zeros((2, 20)), np.float64(0.0), [0.0] * 40])
-    def test_trend_and_residual_are_1d_arrays(self, field, value):
+    def test_trend_and_samples_are_1d_arrays(self, field, value):
         with pytest.raises(ValueError, match=field):
             Decomposition(**self.parts(**{field: value}))
 
-    def test_trend_and_residual_have_one_length(self):
-        with pytest.raises(ValueError, match="residual"):
-            Decomposition(**self.parts(residual=np.zeros(self.N + 1)))
+    def test_trend_and_samples_have_one_length(self):
+        with pytest.raises(ValueError, match="samples"):
+            Decomposition(**self.parts(samples=np.zeros(self.N + 1)))
 
     @pytest.mark.parametrize("period", [1, 0, -4, 4.0, True, "4"])
     def test_period_is_an_int_of_at_least_two(self, period):
@@ -449,13 +521,33 @@ class TestDecompositionChecks:
         with pytest.raises(ValueError, match="pattern"):
             Decomposition(**self.parts(pattern=pattern))
 
-    @pytest.mark.parametrize("field", ["trend", "pattern", "residual"])
+    @pytest.mark.parametrize("field", ["trend", "pattern", "samples"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_parts_are_finite(self, field, bad):
         value = self.parts()[field].copy()
         value[1] = bad
         with pytest.raises(ValueError, match=f"{field} contains NaN or Inf"):
             Decomposition(**self.parts(**{field: value}))
+
+    @pytest.mark.parametrize("where", [1, 39])
+    def test_overflowing_residual_is_rejected_without_warnings(self, where):
+        # Finite samples and trend whose difference overflows.
+        samples, trend = np.zeros(self.N), np.zeros(self.N)
+        samples[where], trend[where] = 1e308, -1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="residual contains NaN or Inf"):
+                Decomposition(**self.parts(samples=samples, trend=trend))
+
+    def test_residual_near_the_limit_is_accepted(self):
+        # The bound overflows but every residual is finite, so the span
+        # check runs and passes.
+        samples, trend = np.zeros(self.N), np.zeros(self.N)
+        samples[1], trend[2] = 1e308, -1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = Decomposition(**self.parts(samples=samples, trend=trend))
+        assert np.isfinite(d.residual).all()
 
     @pytest.mark.parametrize("period", [2, 68])
     def test_overflowing_decomposition_is_rejected_without_warnings(self, period):

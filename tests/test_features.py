@@ -252,6 +252,23 @@ class TestFeaturize:
         for (d, spec), tokens in zip(cases, blocked):
             np.testing.assert_array_equal(tokens, featurize(d, spec).tokens)
 
+    @pytest.mark.parametrize("period", [2, 3, 139, 3310])
+    @pytest.mark.parametrize("block_windows", [1, 5])
+    def test_residual_blocks_starting_mid_period_keep_every_bit(self, monkeypatch, period,
+                                                                 block_windows):
+        # Each block derives its residual over its own span, from the phase
+        # its first window starts at; an odd stride starts blocks mid-period.
+        ts = gen_recording(FAULT_CLASSES[4], SynthConfig(seed=3), 0)
+        d = decompose_additive(ts, period)
+        spec = WindowSpec(length=256, stride=101)
+        starts = range(0, spec.count(len(ts)) * spec.stride, block_windows * spec.stride)
+        assert sum(start % period != 0 for start in starts) >= len(starts) // 2
+        monkeypatch.setattr(features_module, "BLOCK_SAMPLES", block_windows * spec.length)
+        blocked = featurize(d, spec).tokens
+        monkeypatch.setattr(features_module, "BLOCK_SAMPLES", 10 ** 9)
+        whole = featurize(d, spec).tokens
+        np.testing.assert_array_equal(blocked.view(np.uint64), whole.view(np.uint64))
+
     def test_memory_is_bounded(self, fullrate):
         # The (windows, length) matrices of the whole recording would take
         # 7.3 MB each; block by block the peak stays a few MB.
