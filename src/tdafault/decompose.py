@@ -18,6 +18,7 @@ sums; the residual is derived on demand, whole or for any span.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,13 +90,16 @@ class Decomposition:
         if not isinstance(self.pattern, np.ndarray) or self.pattern.shape != (period,):
             raise ValueError(f"pattern must be a numpy array of shape ({period},), got "
                              f"{type(self.pattern).__name__} of shape {np.shape(self.pattern)}")
+        # max and min propagate NaN, so a part's peak |value| is finite iff the
+        # part is.  Rounding is monotone, so no residual exceeds the sum of the
+        # peaks; only when that sum overflows are the residuals checked.
+        bound = 0.0
         for name, part in (("samples", samples), ("trend", trend), ("pattern", self.pattern)):
-            if not np.isfinite(part).all():
+            peak = max(float(part.max()), -float(part.min()))
+            if not math.isfinite(peak):
                 raise ValueError(f"{name} contains NaN or Inf")
-        # Rounding is monotone, so no residual exceeds this bound in magnitude;
-        # only when the bound overflows are the residuals themselves checked.
-        bound = (_peak(samples) + _peak(trend)) + _peak(self.pattern)
-        if not np.isfinite(bound):
+            bound += peak
+        if not math.isfinite(bound):
             with np.errstate(over="ignore", invalid="ignore"):
                 for lo in range(0, n, _BLOCK_SAMPLES):
                     span = self.residual_between(lo, min(lo + _BLOCK_SAMPLES, n))
@@ -128,9 +132,13 @@ class Decomposition:
             raise ValueError(f"span must satisfy 0 <= lo <= hi <= {self.trend.size}, "
                              f"got ({lo}, {hi})")
         out = self.samples[lo:hi] - self.trend[lo:hi]
-        cycle = np.roll(self.pattern, -(lo % self.period))  # the pattern from phase lo on
-        whole = out.size - out.size % self.period
-        body = out[:whole].reshape(-1, self.period)
+        # The pattern from phase lo on, repeated to at least 4096 samples, so
+        # short periods are subtracted along long rows.
+        phase = lo % self.period
+        cycle = np.tile(np.concatenate((self.pattern[phase:], self.pattern[:phase])),
+                        max(1, 4096 // self.period))
+        whole = out.size - out.size % cycle.size
+        body = out[:whole].reshape(-1, cycle.size)
         body -= cycle
         out[whole:] -= cycle[:out.size - whole]
         return out
@@ -144,11 +152,6 @@ class Decomposition:
 # float64).  Blocks of 2**13 to 2**17 samples time alike at 96k samples; one
 # block of a whole 480k-sample recording is about a third slower.
 _BLOCK_SAMPLES = 1 << 15
-
-
-def _peak(x: np.ndarray) -> float:
-    """``max |x|`` as a Python float, without an array of absolute values."""
-    return max(float(x.max()), -float(x.min()))
 
 
 # Longest kernel the trend filter convolves directly.  Direct convolution
