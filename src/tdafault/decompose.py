@@ -149,8 +149,9 @@ class Decomposition:
 
 # Samples per block of the running sums' head sums, and per residual span the
 # Decomposition constructor checks when its bound overflows (256 KiB of
-# float64).  Blocks of 2**13 to 2**17 samples time alike at 96k samples; one
-# block of a whole 480k-sample recording is about a third slower.
+# float64).  On a 2-vCPU Xeon, head sums in blocks of 2**13 to 2**17 samples
+# time alike at 96k samples; one block of a whole 480k-sample recording is
+# about a third slower.
 _BLOCK_SAMPLES = 1 << 15
 
 
